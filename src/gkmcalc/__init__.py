@@ -1,7 +1,8 @@
 """Exact combinatorics of graphs with axial covectors.
 
 Everything is computed over the rationals with fractions.Fraction; no
-floats enter any computation.  The modules split as: polyalg (sparse
+floats enter any computation.  The modules split as: linalg (exact
+elimination: ranks, echelon forms, kernels, inverses), polyalg (sparse
 polynomials, linear forms, residues), gkm_core (the graph data model and
 axiom validation), constructions (complete graphs, products, blow-ups,
 cycles), cohomology (classes and bases), localization (pushforwards and

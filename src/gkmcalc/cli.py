@@ -42,11 +42,15 @@ class UsageError(Exception):
     """Unparseable or structurally invalid input; exits with status 2."""
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _parse_fraction(text: str) -> Fraction:
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"bad rational list {text!r}: {err}") from err
+        raise UsageError(f"bad rational {text!r}: {err}") from err
+
+
+def _parse_fractions(text: str) -> list[Fraction]:
+    return [_parse_fraction(part) for part in text.split(",")]
 
 
 def _load_json(path: str):
@@ -100,7 +104,7 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(doc, out: str | None) -> None:
+def _emit(doc, out: str | Path | None) -> None:
     text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -128,6 +132,8 @@ def cmd_validate(args):
 
 
 def cmd_cohdim(args):
+    if args.max_degree < 0:
+        raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
     gpair = _load_pair(args.graph)
     dims = {}
     for k in range(args.max_degree + 1):
@@ -137,11 +143,7 @@ def cmd_cohdim(args):
             outdir = Path(args.basis)
             outdir.mkdir(parents=True, exist_ok=True)
             for i, cls in enumerate(classes):
-                path = outdir / f"deg{k}_{i}.json"
-                path.write_text(
-                    json.dumps(_jsonable(cls), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
+                _emit(cls, outdir / f"deg{k}_{i}.json")
     return dims, True
 
 
@@ -173,7 +175,7 @@ def cmd_jk(args):
     if args.c is None:
         raise UsageError("need either --c LEVEL or --sweep")
     phi = positively_oriented_function(gpair, xi)
-    cut = LevelCut(xi, phi, Fraction(args.c))
+    cut = LevelCut(xi, phi, _parse_fraction(args.c))
     result = jk_pushforward(gpair, cut, cls)
     return {
         "c": cut.c,
@@ -196,6 +198,8 @@ def cmd_betti(args):
 
 
 def cmd_morse(args):
+    if args.max_degree < 0:
+        raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
     gpair = _load_pair(args.graph)
     xi = _xi_from(args, gpair)
     doc = dict(morse_inequalities(gpair, xi, args.max_degree))

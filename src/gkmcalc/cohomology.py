@@ -118,6 +118,8 @@ class CohClass:
     def from_json(cls, obj: Mapping) -> "CohClass":
         if not isinstance(obj, Mapping) or "degree" not in obj or "values" not in obj:
             raise ValueError("class object needs 'degree' and 'values'")
+        if not isinstance(obj["values"], Mapping):
+            raise ValueError("class 'values' must map vertices to polynomials")
         values = {v: Polynomial.from_json(f) for v, f in obj["values"].items()}
         return cls(obj["degree"], values)
 
@@ -368,7 +370,7 @@ def blowup_class_check(base: GkmPair, p0: str, max_k: int = 4) -> dict:
         if vectors and linalg.rank(vectors, len(vectors[0])) != dim_base:
             injective_ok = False
         dim_sharp, _ = coh_basis(sharp, k)
-        shifted = sum(coh_basis(base, k - j)[0] for j in range(1, d))
+        shifted = sum(dims[k - j]["base"] for j in range(1, min(d, k + 1)))
         dims.append({"k": k, "sharp": dim_sharp, "base": dim_base, "shiftedSum": shifted})
 
     tau = thom_class_subobject(sharp, ps, locus_edges)

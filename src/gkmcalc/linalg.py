@@ -1,142 +1,137 @@
-"""Exact linear algebra over the rationals: echelon forms, ranks, kernels.
+"""Exact linear algebra over the rationals: one fraction-free elimination engine.
 
-Everything here works on plain lists of Fractions (or ints) and never
-normalizes through floats.  Pivoting is deterministic: first nonzero
-column, row of least index.
+``RankTracker`` is the only elimination routine.  It stores each row
+sparsely, as ``{column: int}``, under its pivot (the first nonzero column).
+Rows are reduced by integer cross-multiplication, never by division, so no
+Fraction arithmetic enters the inner loop; every stored row is kept
+primitive (coprime entries, positive pivot) so that repeated
+cross-multiplication cannot grow its integers.  One back-substitution pass
+gives the reduced echelon form, which is unique, so ``rref``,
+``kernel_basis`` and ``invert`` are canonical.  Inputs are dense sequences
+of Fractions or ints; outputs are lists of Fractions.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
+
+Rows = Sequence[Sequence[Fraction | int]]
 
 
-def row_primitive(row: Sequence[Fraction | int]) -> list[int]:
-    """Scale a rational row to coprime integers, keeping the sign pattern."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive(row: Mapping[int, Fraction | int], lead: int) -> dict[int, int]:
+    """Scale a nonzero sparse rational row to coprime integers, positive at ``lead``."""
+    den = lcm(*(x.denominator for x in row.values()))
+    ints = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = gcd(*ints.values()) if ints[lead] > 0 else -gcd(*ints.values())
+    return ints if g == 1 else {c: x // g for c, x in ints.items()}
+
+
+def _eliminate(row: dict[int, int], base: Mapping[int, int], col: int) -> None:
+    """Clear ``row[col]`` in place by an integer combination with ``base``."""
+    a, b = base[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, x in base.items():
+        y = row.get(c, 0) - b * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
 
 
 class RankTracker:
-    """Incremental rank of a growing pile of rational rows.
-
-    Rows are reduced against a stored integer echelon basis; stored rows are
-    kept primitive so cross-multiplication does not blow up coefficients.
-    """
+    """Incremental echelon basis of a growing pile of rational rows."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        # sorted list of (pivot column, primitive integer row)
-        self._rows: list[tuple[int, list[int]]] = []
+        # pivot column -> primitive integer row, positive at the pivot
+        self._rows: dict[int, dict[int, int]] = {}
 
     def add(self, row: Sequence[Fraction | int]) -> bool:
         """Reduce ``row`` against the basis; return True if rank grew."""
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
-        r = row_primitive(row)
-        for pivot, base in self._rows:
-            if r[pivot]:
-                a, b = base[pivot], r[pivot]
-                r = [x * a - y * b for x, y in zip(r, base)]
-        piv = next((i for i, v in enumerate(r) if v), None)
-        if piv is None:
-            return False
-        insort(self._rows, (piv, row_primitive(r)))
-        return True
+        r = {c: x for c, x in enumerate(row) if x}
+        if r:
+            r = _primitive(r, min(r))
+        while r:
+            pivot = min(r)
+            base = self._rows.get(pivot)
+            if base is None:
+                self._rows[pivot] = _primitive(r, pivot)
+                return True
+            _eliminate(r, base, pivot)
+        return False
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """Back-substitute to the reduced echelon form, keyed by ascending pivot."""
+        done: dict[int, dict[int, int]] = {}
+        for pivot in sorted(self._rows, reverse=True):
+            r = self._rows[pivot]
+            for later, base in done.items():
+                if later in r:
+                    _eliminate(r, base, later)
+            done[pivot] = _primitive(r, pivot)
+        self._rows = dict(reversed(done.items()))
+        return self._rows
 
-def rank(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
+
+def _tracker(rows: Rows, ncols: int) -> RankTracker:
     tracker = RankTracker(ncols)
     for row in rows:
         tracker.add(row)
-    return tracker.rank
+    return tracker
 
 
-def rref(
-    rows: Sequence[Sequence[Fraction | int]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
+def rank(rows: Rows, ncols: int) -> int:
+    return _tracker(rows, ncols).rank
+
+
+def rref(rows: Rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    reduced = _tracker(rows, ncols).reduced()
+    dense = [
+        [Fraction(r.get(c, 0), r[pivot]) for c in range(ncols)]
+        for pivot, r in reduced.items()
+    ]
+    return dense, list(reduced)
 
 
-def kernel_basis(
-    rows: Sequence[Sequence[Fraction | int]], ncols: int
-) -> list[list[Fraction]]:
+def kernel_basis(rows: Rows, ncols: int) -> list[list[Fraction]]:
     """Echelonized basis of the right kernel, one vector per free column.
 
     Each basis vector is scaled to a primitive integer vector whose entry at
     its free column is positive, so the output is canonical.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][free]
-        prim = row_primitive(v)
-        if prim[free] < 0:
-            prim = [-x for x in prim]
-        basis.append([Fraction(x) for x in prim])
+    reduced = _tracker(rows, ncols).reduced()
+    # free column -> the kernel vector that is 1 there, as {column: value}
+    free = {c: {c: 1} for c in range(ncols) if c not in reduced}
+    for pivot, r in reduced.items():
+        for c, x in r.items():
+            if c != pivot:
+                free[c][pivot] = Fraction(-x, r[pivot])
+    basis = []
+    for col, v in free.items():
+        vec = [Fraction(0)] * ncols
+        for c, x in _primitive(v, col).items():
+            vec[c] = Fraction(x)
+        basis.append(vec)
     return basis
 
 
-def solve(
-    rows: Sequence[Sequence[Fraction | int]],
-    rhs: Sequence[Fraction | int],
-    ncols: int,
-) -> list[Fraction] | None:
-    """One solution of ``rows . x = rhs`` (free variables 0), or None."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the rhs column
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced[i][ncols]
-    return x
-
-
-def invert(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]] | None:
+def invert(matrix: Rows) -> list[list[Fraction]] | None:
     """Inverse of a square rational matrix, or None if singular."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     reduced, pivots = rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None

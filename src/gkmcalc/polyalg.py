@@ -218,11 +218,6 @@ class Polynomial:
             raise ValueError("polynomial is not homogeneous")
         return degs.pop()
 
-    def max_exponent(self, j: int) -> int:
-        if not self._terms:
-            return 0
-        return max((e[j] for e in self._terms), default=0)
-
     # --- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -492,17 +487,6 @@ def monomials(n: int, k: int) -> list[Monomial]:
     rec((), k, n)
     out.sort(key=grlex_key, reverse=True)
     return out
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch add/sub/mul; the operators on Polynomial do the work."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def reduce_mod_line(f: Polynomial, form: LinearForm) -> Polynomial:

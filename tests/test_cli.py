@@ -261,3 +261,28 @@ def test_graph_files_round_trip_between_commands(capsys, tmp_path):
     code, doc = _run_json(capsys, "betti", str(path))
     assert code == 0
     assert doc["invariant"]
+
+
+def test_unparseable_level_exits_2(capsys, cp2_file, one_file):
+    code = main(["jk", cp2_file, "--class", one_file, "--xi", "1,2", "--c", "abc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "bad rational" in captured.err
+
+
+@pytest.mark.parametrize("command", ["cohdim", "morse"])
+def test_negative_max_degree_exits_2(capsys, cp2_file, command):
+    code = main([command, cp2_file, "--max-degree", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--max-degree" in captured.err
+
+
+@pytest.mark.parametrize("command", [["integrate"], ["jk", "--sweep"]])
+def test_class_values_that_are_not_an_object_exit_2(capsys, tmp_path, cp2_file, command):
+    path = tmp_path / "list_values.json"
+    path.write_text(json.dumps({"degree": 0, "values": [{"n": 2, "terms": []}]}))
+    code = main([*command, cp2_file, "--class", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "not a class file" in captured.err
