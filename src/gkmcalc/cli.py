@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import linalg
 from .cohomology import CohClass, coh_basis, is_class
 from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
@@ -112,10 +113,10 @@ def _emit(doc, out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
-def _xi_from(args, pair: GkmPair) -> Vector:
-    if args.xi is None:
+def _xi_from(text: str | None, pair: GkmPair) -> Vector:
+    if text is None:
         return find_acyclic_xi(pair)
-    xi = Vector(_parse_fractions(args.xi))
+    xi = Vector(_parse_fractions(text))
     if xi.n != pair.n:
         raise UsageError(f"--xi has {xi.n} coordinates, the pair needs {pair.n}")
     return xi
@@ -160,6 +161,8 @@ def cmd_residue(args):
     xi = Vector(_parse_fractions(args.xi))
     if xi.n != f.n or any(a.n != f.n for a in alphas):
         raise UsageError("xi, the covectors, and the polynomial must share one dimension")
+    if any(a.is_zero() for a in alphas):
+        raise UsageError("--alpha must be a nonzero covector")
     value = residue(f, alphas, xi, method=args.method)
     return {"residue": value}, True
 
@@ -167,7 +170,7 @@ def cmd_residue(args):
 def cmd_jk(args):
     gpair = _load_pair(args.graph)
     cls = _load_class(args.cls, gpair)
-    xi = _xi_from(args, gpair)
+    xi = _xi_from(args.xi, gpair)
     if args.sweep:
         doc = dict(full_sweep(gpair, xi, cls))
         doc["xi"] = xi
@@ -189,9 +192,9 @@ def cmd_jk(args):
 
 def cmd_betti(args):
     gpair = _load_pair(args.graph)
-    doc = dict(betti_invariance_check(gpair, args.samples))
-    if args.xi is not None:
-        xi = Vector(_parse_fractions(args.xi))
+    xi = None if args.xi is None else _xi_from(args.xi, gpair)
+    doc = dict(betti_invariance_check(gpair))
+    if xi is not None:
         doc["sigma"] = orient(gpair, xi).sigma
         doc["bettiAtXi"] = betti(gpair, xi)
     return doc, doc["invariant"]
@@ -201,7 +204,7 @@ def cmd_morse(args):
     if args.max_degree < 0:
         raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
     gpair = _load_pair(args.graph)
-    xi = _xi_from(args, gpair)
+    xi = _xi_from(args.xi, gpair)
     doc = dict(morse_inequalities(gpair, xi, args.max_degree))
     doc["xi"] = xi
     if args.l is not None:
@@ -233,6 +236,8 @@ def cmd_complete(args):
 def cmd_cycle(args):
     a1 = Covector(_parse_fractions(args.a1))
     a2 = Covector(_parse_fractions(args.a2))
+    if a1.n == a2.n and linalg.rank([list(a1), list(a2)], a1.n) < 2:
+        raise UsageError("--a1 and --a2 must be linearly independent")
     gpair = cycle_2valent(args.count, a1, a2)
     return {"graph": gpair}, True
 
@@ -280,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("betti", parents=[common], help="Betti histogram and chamber invariance")
     x.add_argument("graph")
     x.add_argument("--xi", help="also report sigma in this one chamber")
-    x.add_argument("--samples", type=int, default=500)
     x.set_defaults(func=cmd_betti)
 
     x = sub.add_parser("morse", parents=[common], help="dimension bounds degree by degree")

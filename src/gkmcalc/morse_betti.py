@@ -14,10 +14,9 @@ bounds rest on.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg
 from .cohomology import coh_basis, compatibility_rows
@@ -32,7 +31,9 @@ from .polyalg import (
     pair as pairing,
 )
 
-_SAMPLE_SEED = 20260818
+# A chamber of the wall arrangement: its sign on each parallel class, and a
+# rational direction inside it.
+Chamber = tuple[tuple[int, ...], list[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -228,47 +229,38 @@ def _feasible(rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction] | No
     return point + [last]
 
 
-def _chambers(
-    classes: Sequence[LinearForm], n: int, samples: int, seed: int = _SAMPLE_SEED
-) -> tuple[list[tuple[tuple[int, ...], list[Fraction]]], str]:
-    """Chambers of the wall arrangement as (sign vector, witness) pairs.
+def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
+    """Every chamber of the wall arrangement as (sign vector, witness), exactly.
 
-    Up to 12 classes every sign vector is tried with an exact feasibility
-    check; beyond that, `samples` random directions are deduplicated by
-    sign vector.  Output is sorted by sign vector either way.
+    Depth-first over sign prefixes in class order, -1 before +1, so chambers
+    come out in ascending sign-vector order.  A prefix whose strict system
+    is infeasible is dropped with all its extensions; a full-length sign
+    vector's witness is the feasibility witness of its whole system.
     """
-    if len(classes) <= 12:
-        found = []
-        for signs in itertools.product((1, -1), repeat=len(classes)):
-            rows = [
-                tuple(Fraction(s * c) for c in cls.canonical)
-                for s, cls in zip(signs, classes)
-            ]
-            w = _feasible(rows, n)
-            if w is None:
-                continue
+
+    def extend(signs: tuple[int, ...], rows: list, witness: list[Fraction]):
+        if len(signs) == len(classes):
             for row in rows:
-                if sum(c * x for c, x in zip(row, w)) <= 0:
+                if sum(c * x for c, x in zip(row, witness)) <= 0:
                     raise ArithmeticError("feasibility witness fails its own system")
-            found.append((signs, w))
-        found.sort(key=lambda sw: sw[0])
-        return found, "exhaustive"
-    rng = random.Random(seed)
-    seen: dict[tuple[int, ...], list[Fraction]] = {}
-    for _ in range(samples):
-        cand = [Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(n)]
-        vals = [
-            sum(c * x for c, x in zip(cls.canonical, cand)) for cls in classes
-        ]
-        if any(v == 0 for v in vals):
-            continue
-        signs = tuple(1 if v > 0 else -1 for v in vals)
-        seen.setdefault(signs, cand)
-    return sorted(seen.items()), "sampled"
+            yield signs, witness
+            return
+        for s in (-1, 1):
+            grown = rows + [tuple(Fraction(s * c) for c in classes[len(signs)].canonical)]
+            w = _feasible(grown, n)
+            if w is not None:
+                yield from extend(signs + (s,), grown, w)
+
+    yield from extend((), [], _feasible([], n))
 
 
-def betti_invariance_check(pair: GkmPair, samples: int = 500) -> dict:
-    """Betti histograms across every reachable chamber of the wall arrangement.
+def _chambers(classes: Sequence[LinearForm], n: int) -> tuple[list[Chamber], str]:
+    """All chambers in ascending sign-vector order, and the method tag the report carries."""
+    return list(_chamber_search(classes, n)), "exhaustive"
+
+
+def betti_invariance_check(pair: GkmPair) -> dict:
+    """Betti histograms across every chamber of the wall arrangement.
 
     Chambers are keyed by the sign vector of the parallel classes of the
     axial covectors.  For each chamber the histogram is computed twice,
@@ -276,7 +268,7 @@ def betti_invariance_check(pair: GkmPair, samples: int = 500) -> dict:
     chambers must agree on it.
     """
     classes = _axial_classes(pair)
-    chambers, method = _chambers(classes, pair.n, samples)
+    chambers, method = _chambers(classes, pair.n)
     cindex = {cls.canonical: i for i, cls in enumerate(classes)}
     incidences: dict[str, list[tuple[int, int]]] = {v: [] for v in pair.vertices}
     for p, q in pair.oriented_edges():
@@ -351,13 +343,12 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
     }
 
 
-def find_acyclic_xi(pair: GkmPair, samples: int = 500) -> Vector:
+def find_acyclic_xi(pair: GkmPair) -> Vector:
     """First chamber direction, in sign-vector order, with an acyclic orientation."""
-    chambers, _ = _chambers(_axial_classes(pair), pair.n, samples)
-    for _, witness in chambers:
+    for _, witness in _chamber_search(_axial_classes(pair), pair.n):
         if is_acyclic(orient(pair, witness))[0]:
             return Vector(witness)
-    raise ValueError("no acyclic orientation found in any sampled chamber")
+    raise ValueError("no acyclic orientation found in any chamber")
 
 
 def l_independent(forms: Sequence, l: int) -> bool:
@@ -424,13 +415,15 @@ def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:
 def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     """Dimension bounds per degree, globally and one filtration step at a time.
 
-    For each k the class-space dimension is compared against the
+    For each k the class-space dimension, the column count minus the row
+    rank of the compatibility system, is compared against the
     sigma-histogram bound.  The filtered dimensions (classes vanishing
     below a level) come from adding vertex column blocks to the
     compatibility system in descending level order while tracking the
     rank; each one-vertex step is bounded above by the count of monomials
     in the complementary degree and below by the matching graded piece of
-    the omit-one-factor ideal of the parallel classes.
+    the omit-one-factor ideal of the parallel classes.  At the bottom
+    level the filtered dimension must equal the row-rank dimension.
     """
     o = orient(pair, xi)
     ok, cycle = is_acyclic(o)
@@ -458,16 +451,17 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     steps = []
     overall = True
     for k in range(max_k + 1):
-        lhs, _ = coh_basis(pair, k)
+        rows, mons = compatibility_rows(pair, k)
+        M = len(mons)
+        nrows = len(rows)
+        ncols = len(pair.vertices) * M
+        lhs = ncols - linalg.rank(rows, ncols)
         rhs = sum(beta[r] * graded_dim(n, k - r) for r in range(d + 1))
         ok_k = lhs <= rhs
         overall = overall and ok_k
         morse_rows.append(
             {"k": k, "lhs": lhs, "rhs": rhs, "ok": ok_k, "equality": lhs == rhs}
         )
-        rows, mons = compatibility_rows(pair, k)
-        M = len(mons)
-        nrows = len(rows)
         tracker = linalg.RankTracker(nrows)
         cols = 0
         prev_dim = 0
@@ -497,7 +491,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
             )
         if prev_dim != lhs:
             raise ArithmeticError(
-                "filtered dimension at the bottom level disagrees with coh_basis"
+                "filtered dimension at the bottom level disagrees with the row rank"
             )
     return {"betti": beta, "morse": morse_rows, "steps": steps, "ok": overall}
 

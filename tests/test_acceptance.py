@@ -132,7 +132,7 @@ def _random_poly(rng: random.Random, n: int, max_deg: int) -> Polynomial:
 
 def _adjacent_witnesses(pair: GkmPair) -> tuple[Vector, Vector]:
     """Two chamber directions whose sign vectors differ in exactly one slot."""
-    chambers, _ = _chambers(_axial_classes(pair), pair.n, 500)
+    chambers, _ = _chambers(_axial_classes(pair), pair.n)
     for i in range(len(chambers)):
         for j in range(i + 1, len(chambers)):
             si, wi = chambers[i]
@@ -228,7 +228,7 @@ def test_criterion_04_total_residue_vanishes(family):
         checked = 0
         for name, pair in family:
             d, n = pair.valence, pair.n
-            chambers, _ = _chambers(_axial_classes(pair), n, 500)
+            chambers, _ = _chambers(_axial_classes(pair), n)
             witnesses = [Vector(tuple(w)) for _, w in chambers]
             if len(witnesses) > 5:
                 keep = sorted(rng.sample(range(len(witnesses)), 5))
@@ -282,7 +282,7 @@ def test_criterion_05_level_sweeps(family):
 def test_criterion_06_histogram_invariance_and_wall_crossing(family):
     def body():
         for name, pair in family:
-            doc = betti_invariance_check(pair, samples=500)
+            doc = betti_invariance_check(pair)
             assert doc["invariant"], f"histogram varies across chambers on {name}"
             assert doc["chambers_found"] == _CHAMBER_COUNTS[name], (
                 f"{name}: found {doc['chambers_found']} chambers"

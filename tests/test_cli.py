@@ -286,3 +286,26 @@ def test_class_values_that_are_not_an_object_exit_2(capsys, tmp_path, cp2_file, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "not a class file" in captured.err
+
+
+def test_zero_residue_covector_exits_2(capsys, tmp_path):
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"exp": [2, 0], "coef": "1"}]}))
+    code = main(["residue", "--poly", str(poly), "--alpha", "0,0", "--xi", "1,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--alpha" in captured.err
+
+
+def test_parallel_cycle_covectors_exit_2(capsys):
+    code = main(["cycle", "--count", "4", "--a1", "1,0", "--a2", "2,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "linearly independent" in captured.err
+
+
+def test_betti_xi_of_the_wrong_dimension_exits_2(capsys, cp2_file):
+    code = main(["betti", cp2_file, "--xi", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--xi has 3 coordinates" in captured.err

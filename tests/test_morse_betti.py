@@ -1,6 +1,7 @@
 """Orientations, Betti histograms, chambers, ideals, and the equality tables."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from gkmcalc import (
     GkmPair,
+    complete_graph,
     Vector,
     betti,
     betti_equality_report,
@@ -21,11 +23,14 @@ from gkmcalc import (
 )
 from gkmcalc.morse_betti import (
     _axial_classes,
+    _chamber_search,
     _chambers,
+    _feasible,
     find_acyclic_xi,
     is_acyclic,
     wall_crossing_check,
 )
+from gkmcalc import linalg
 from gkmcalc.polyalg import Covector, graded_dim
 
 
@@ -169,8 +174,72 @@ def test_chamber_count_matches_random_sampling(gamma4):
     assert len(seen) == 24
 
 
+def _all_sign_vectors(classes, n):
+    """Reference oracle: try all 2^m sign vectors, each with one feasibility check."""
+    found = []
+    for signs in itertools.product((1, -1), repeat=len(classes)):
+        rows = [
+            tuple(Fraction(s * c) for c in cls.canonical) for s, cls in zip(signs, classes)
+        ]
+        w = _feasible(rows, n)
+        if w is None:
+            continue
+        for row in rows:
+            assert sum(c * x for c, x in zip(row, w)) > 0
+        found.append((signs, w))
+    found.sort(key=lambda sw: sw[0])
+    return found
+
+
+def _whitney_count(classes, n):
+    """Chambers of a central arrangement: sum over subsets S of (-1)^(|S| - rank S)."""
+    normals = [list(cls.canonical) for cls in classes]
+    total = 0
+    for size in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, size):
+            total += (-1) ** (size - linalg.rank(list(subset), n))
+    return total
+
+
+def test_chamber_search_matches_the_exhaustive_oracle(family):
+    for name, pair in family + [("cyclic triangle", _cyclic_triangle())]:
+        classes = _axial_classes(pair)
+        expected = _all_sign_vectors(classes, pair.n)
+        assert list(_chamber_search(classes, pair.n)) == expected, name
+        assert _chambers(classes, pair.n) == (expected, "exhaustive"), name
+        acyclic = [
+            w for _, w in expected if is_acyclic(orient(pair, Vector(w)))[0]
+        ]
+        if acyclic:
+            assert find_acyclic_xi(pair) == Vector(acyclic[0]), name
+        else:
+            with pytest.raises(ValueError):
+                find_acyclic_xi(pair)
+
+
+def _pair_named(request, name):
+    if name == "k8":
+        return complete_graph([(i, i * i) for i in range(1, 9)])
+    value = request.getfixturevalue(name)
+    return value[0] if name == "blowup" else value
+
+
+@pytest.mark.parametrize(
+    "name", ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k8"]
+)
+def test_chamber_count_equals_the_whitney_count(request, name):
+    pair = _pair_named(request, name)
+    out = betti_invariance_check(pair)
+    assert out["method"] == "exhaustive" and out["invariant"]
+    assert out["chambers_found"] == _whitney_count(_axial_classes(pair), pair.n)
+    if name == "k8":
+        # 13 wall classes: past the size where enumeration used to fall back to sampling
+        assert len(_axial_classes(pair)) == 13
+        assert out["chambers_found"] == 26
+
+
 def _adjacent_witnesses(pair):
-    chambers, _ = _chambers(_axial_classes(pair), pair.n, 500)
+    chambers, _ = _chambers(_axial_classes(pair), pair.n)
     for i in range(len(chambers)):
         for j in range(i + 1, len(chambers)):
             si, wi = chambers[i]
