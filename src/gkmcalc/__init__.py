@@ -37,6 +37,7 @@ from .morse_betti import (
 )
 from .polyalg import (
     Covector,
+    InputError,
     LinearForm,
     LocalizedSum,
     LocalizedTerm,
@@ -56,6 +57,7 @@ __all__ = [
     "Covector",
     "GkmPair",
     "GraphFormatError",
+    "InputError",
     "IntegrityError",
     "LevelCut",
     "LinearForm",

@@ -2,9 +2,13 @@
 
 Every subcommand reads JSON inputs, runs one library computation, and
 writes a single JSON document to stdout (or --out).  Diagnostics go to
-stderr.  Exit codes: 0 success, 1 mathematical violation, 2 usage or
-parse error.  Output is deterministic: keys are sorted and rationals are
-serialized as "a/b" strings.
+stderr.  Exit codes: 0 success; 1 a mathematical violation (a failed
+axiom or cross-check, a wall, a directed cycle, a non-class); 2 the
+command could not use its input (unreadable or malformed files, bad
+flags, mismatched argument shapes, unwritable output paths), which the
+raising code marks as InputError.  Nothing ends in a traceback.  Output
+is deterministic: keys are sorted and rationals are serialized as "a/b"
+strings.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import linalg
 from .cohomology import CohClass, coh_basis, is_class
 from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
@@ -36,22 +39,7 @@ from .morse_betti import (
     orient,
     positively_oriented_function,
 )
-from .polyalg import Covector, Polynomial, Vector, residue
-
-
-class UsageError(Exception):
-    """Unparseable or structurally invalid input; exits with status 2."""
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"bad rational {text!r}: {err}") from err
-
-
-def _parse_fractions(text: str) -> list[Fraction]:
-    return [_parse_fraction(part) for part in text.split(",")]
+from .polyalg import Covector, InputError, Polynomial, Vector, residue
 
 
 def _load_json(path: str):
@@ -59,23 +47,23 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
-        raise UsageError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise UsageError(f"{path} is not valid JSON: {err}") from err
+        raise InputError(f"cannot read {path}: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
 def _load_pair(path: str) -> GkmPair:
     try:
         return GkmPair.from_json(_load_json(path))
     except GraphFormatError as err:
-        raise UsageError(f"{path}: {err}") from err
+        raise InputError(f"{path}: {err}") from err
 
 
 def _load_class(path: str, pair: GkmPair) -> CohClass:
     try:
         cls = CohClass.from_json(_load_json(path))
     except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"{path} is not a class file: {err}") from err
+        raise InputError(f"{path} is not a class file: {err}") from err
     ok, bad_edge = is_class(pair, cls.values)
     if not ok:
         raise ArithmeticError(f"input is not a class, compatibility fails on edge {bad_edge}")
@@ -86,7 +74,7 @@ def _load_poly(path: str) -> Polynomial:
     try:
         return Polynomial.from_json(_load_json(path))
     except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"{path} is not a polynomial file: {err}") from err
+        raise InputError(f"{path} is not a polynomial file: {err}") from err
 
 
 def _jsonable(obj):
@@ -116,9 +104,9 @@ def _emit(doc, out: str | Path | None) -> None:
 def _xi_from(text: str | None, pair: GkmPair) -> Vector:
     if text is None:
         return find_acyclic_xi(pair)
-    xi = Vector(_parse_fractions(text))
+    xi = Vector(text.split(","))
     if xi.n != pair.n:
-        raise UsageError(f"--xi has {xi.n} coordinates, the pair needs {pair.n}")
+        raise InputError(f"--xi has {xi.n} coordinates, the pair needs {pair.n}")
     return xi
 
 
@@ -134,7 +122,7 @@ def cmd_validate(args):
 
 def cmd_cohdim(args):
     if args.max_degree < 0:
-        raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
+        raise InputError(f"--max-degree must be nonnegative, got {args.max_degree}")
     gpair = _load_pair(args.graph)
     dims = {}
     for k in range(args.max_degree + 1):
@@ -157,12 +145,10 @@ def cmd_integrate(args):
 
 def cmd_residue(args):
     f = _load_poly(args.poly)
-    alphas = [Covector(_parse_fractions(a)) for a in args.alpha or []]
-    xi = Vector(_parse_fractions(args.xi))
-    if xi.n != f.n or any(a.n != f.n for a in alphas):
-        raise UsageError("xi, the covectors, and the polynomial must share one dimension")
+    alphas = [Covector(a.split(",")) for a in args.alpha or []]
+    xi = Vector(args.xi.split(","))
     if any(a.is_zero() for a in alphas):
-        raise UsageError("--alpha must be a nonzero covector")
+        raise InputError("--alpha must be a nonzero covector")
     value = residue(f, alphas, xi, method=args.method)
     return {"residue": value}, True
 
@@ -176,9 +162,9 @@ def cmd_jk(args):
         doc["xi"] = xi
         return doc, True
     if args.c is None:
-        raise UsageError("need either --c LEVEL or --sweep")
+        raise InputError("need either --c LEVEL or --sweep")
     phi = positively_oriented_function(gpair, xi)
-    cut = LevelCut(xi, phi, _parse_fraction(args.c))
+    cut = LevelCut(xi, phi, args.c)
     result = jk_pushforward(gpair, cut, cls)
     return {
         "c": cut.c,
@@ -202,7 +188,7 @@ def cmd_betti(args):
 
 def cmd_morse(args):
     if args.max_degree < 0:
-        raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
+        raise InputError(f"--max-degree must be nonnegative, got {args.max_degree}")
     gpair = _load_pair(args.graph)
     xi = _xi_from(args.xi, gpair)
     doc = dict(morse_inequalities(gpair, xi, args.max_degree))
@@ -214,8 +200,6 @@ def cmd_morse(args):
 
 def cmd_blowup(args):
     gpair = _load_pair(args.graph)
-    if args.vertex not in gpair.vertices:
-        raise UsageError(f"vertex {args.vertex!r} is not in the graph")
     sharp, down = blow_up(gpair, args.vertex)
     return {"blowDown": down, "graph": sharp}, True
 
@@ -228,17 +212,13 @@ def cmd_product(args):
 
 
 def cmd_complete(args):
-    alphas = [Covector(_parse_fractions(part)) for part in args.alphas.split(";")]
+    alphas = [Covector(part.split(",")) for part in args.alphas.split(";")]
     gpair = complete_graph(alphas)
     return {"graph": gpair}, True
 
 
 def cmd_cycle(args):
-    a1 = Covector(_parse_fractions(args.a1))
-    a2 = Covector(_parse_fractions(args.a2))
-    if a1.n == a2.n and linalg.rank([list(a1), list(a2)], a1.n) < 2:
-        raise UsageError("--a1 and --a2 must be linearly independent")
-    gpair = cycle_2valent(args.count, a1, a2)
+    gpair = cycle_2valent(args.count, args.a1.split(","), args.a2.split(","))
     return {"graph": gpair}, True
 
 
@@ -322,14 +302,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, ok = args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GraphFormatError as err:
+        _emit(doc, args.out)
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as err:
         print(f"violation: {err}", file=sys.stderr)
         return 1
-    _emit(doc, args.out)
     return 0 if ok else 1

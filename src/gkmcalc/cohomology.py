@@ -18,6 +18,7 @@ from . import linalg
 from .constructions import blow_up
 from .gkm_core import GkmPair, is_compatible_subobject, subpair
 from .polyalg import (
+    InputError,
     Monomial,
     Polynomial,
     as_fraction,
@@ -118,10 +119,13 @@ class CohClass:
     def from_json(cls, obj: Mapping) -> "CohClass":
         if not isinstance(obj, Mapping) or "degree" not in obj or "values" not in obj:
             raise ValueError("class object needs 'degree' and 'values'")
+        degree = obj["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError("class 'degree' must be an integer")
         if not isinstance(obj["values"], Mapping):
             raise ValueError("class 'values' must map vertices to polynomials")
         values = {v: Polynomial.from_json(f) for v, f in obj["values"].items()}
-        return cls(obj["degree"], values)
+        return cls(degree, values)
 
 
 def constant_class(pair: GkmPair, c) -> CohClass:
@@ -149,14 +153,15 @@ def is_class(
     """Edge-compatibility check; returns (ok, first failing edge or None).
 
     Values must be homogeneous of a single common degree; mixing degrees
-    raises.
+    raises.  A candidate on the wrong vertex set or in the wrong ring is
+    unusable input and raises InputError.
     """
     values = candidate.values if isinstance(candidate, CohClass) else candidate
     if set(values) != set(pair.vertices):
-        raise ValueError("candidate must assign a value to every vertex")
+        raise InputError("candidate must assign a value to every vertex")
     for v, f in values.items():
         if not isinstance(f, Polynomial) or f.n != pair.n:
-            raise ValueError(f"value at {v!r} is not a polynomial in the ambient ring")
+            raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
     _common_degree(values)
     for p, q in pair.edges:
         diff = values[p] - values[q]

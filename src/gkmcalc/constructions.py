@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .gkm_core import ConnectionMap, GkmPair, ValidationReport, validate_axial
-from .polyalg import Covector, LinearForm
+from .polyalg import Covector, InputError, LinearForm
 
 
 def _coerce_covectors(alphas: Sequence) -> list[Covector]:
@@ -30,15 +31,15 @@ def complete_graph(alphas: Sequence[Covector | Iterable]) -> GkmPair:
     """
     cov = _coerce_covectors(alphas)
     if not cov:
-        raise ValueError("need at least one point")
+        raise InputError("need at least one point")
     n = cov[0].n
     if any(c.n != n for c in cov):
-        raise ValueError("all points must share one ambient dimension")
+        raise InputError("all points must share one ambient dimension")
     N = len(cov)
     for i in range(N):
         for j in range(N):
             if j != i and cov[i] == cov[j]:
-                raise ValueError(f"points {i + 1} and {j + 1} coincide")
+                raise InputError(f"points {i + 1} and {j + 1} coincide")
     for i in range(N):
         diffs = [(j, LinearForm(cov[i] - cov[j])) for j in range(N) if j != i]
         for a in range(len(diffs)):
@@ -79,7 +80,7 @@ def product(a: GkmPair, b: GkmPair) -> tuple[GkmPair, ValidationReport]:
     one.
     """
     if a.n != b.n:
-        raise ValueError("factors must share one ambient dimension")
+        raise InputError("factors must share one ambient dimension")
 
     def name(p: str, q: str) -> str:
         return f"{p}|{q}"
@@ -133,7 +134,7 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
     pairwise linearly independent.
     """
     if p0 not in pair.vertices:
-        raise ValueError(f"unknown vertex {p0!r}")
+        raise InputError(f"unknown vertex {p0!r}")
     qs = sorted(pair.neighbors(p0))
     d = len(qs)
     if d < 1:
@@ -222,11 +223,11 @@ def cycle_2valent(N: int, a1: Covector | Iterable, a2: Covector | Iterable) -> G
     c1 = a1 if isinstance(a1, Covector) else Covector(a1)
     c2 = a2 if isinstance(a2, Covector) else Covector(a2)
     if c1.n != c2.n:
-        raise ValueError("axial covectors must share one ambient dimension")
+        raise InputError("axial covectors must share one ambient dimension")
     if c1.n < 2:
-        raise ValueError("need ambient dimension at least 2")
-    if LinearForm(c1).parallel_to(LinearForm(c2)):
-        raise ValueError("the two axial covectors must be linearly independent")
+        raise InputError("need ambient dimension at least 2")
+    if linalg.rank([c1.coords, c2.coords], c1.n) < 2:
+        raise InputError("the two axial covectors must be linearly independent")
 
     pattern = [c1, c2, -c1, -c2]
     names = [str(i + 1) for i in range(N)]

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .polyalg import (
     Covector,
+    InputError,
     LinearForm,
     Polynomial,
     Vector,
@@ -30,7 +31,7 @@ from .polyalg import (
 OrientedEdge = tuple[str, str]
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(InputError):
     """Structurally malformed graph data, as opposed to an axiom violation."""
 
 
@@ -292,8 +293,8 @@ class GkmPair:
                 raise GraphFormatError(f"edge {i}: 'alpha' must list {n} rationals")
             try:
                 cov = Covector(alpha)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise GraphFormatError(f"edge {i}: bad rational in 'alpha': {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise GraphFormatError(f"edge {i}, 'alpha': {exc}") from None
             records.append((ends[0], ends[1], cov))
 
         edge_list: list[OrientedEdge] = []

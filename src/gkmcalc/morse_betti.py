@@ -75,36 +75,50 @@ def orient(pair: GkmPair, xi) -> Orientation:
     return Orientation(vec, tuple(pair.vertices), tuple(directed), sigma)
 
 
-def is_acyclic(orientation: Orientation) -> tuple[bool, list[str] | None]:
-    """Directed-cycle test; on failure the witness lists the cycle's vertices."""
+def _upward_successors(orientation: Orientation) -> dict[str, list[str]]:
     succ: dict[str, list[str]] = {v: [] for v in orientation.vertices}
     for p, q in orientation.edges:
         succ[p].append(q)
+    return succ
+
+
+def _postorder(
+    vertices: Sequence[str], succ: Mapping[str, list[str]]
+) -> tuple[list[str], list[str] | None]:
+    """Iterative depth-first postorder, or the first directed cycle met.
+
+    Returns (postorder, None) on an acyclic graph and (partial postorder,
+    cycle vertices) as soon as an edge closes a cycle on the active path.
+    """
     # 0 unvisited, 1 on the active path, 2 finished
-    state = {v: 0 for v in orientation.vertices}
-    for start in orientation.vertices:
+    state = {v: 0 for v in vertices}
+    post: list[str] = []
+    for start in vertices:
         if state[start]:
             continue
         stack = [(start, iter(succ[start]))]
         state[start] = 1
-        path = [start]
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
                 if state[w] == 0:
                     state[w] = 1
                     stack.append((w, iter(succ[w])))
-                    path.append(w)
-                    advanced = True
                     break
                 if state[w] == 1:
-                    return False, path[path.index(w):]
-            if not advanced:
+                    path = [u for u, _ in stack]
+                    return post, path[path.index(w):]
+            else:
                 state[v] = 2
+                post.append(v)
                 stack.pop()
-                path.pop()
-    return True, None
+    return post, None
+
+
+def is_acyclic(orientation: Orientation) -> tuple[bool, list[str] | None]:
+    """Directed-cycle test; on failure the witness lists the cycle's vertices."""
+    _, cycle = _postorder(orientation.vertices, _upward_successors(orientation))
+    return cycle is None, cycle
 
 
 def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
@@ -117,32 +131,11 @@ def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
     injectivity and the orientation inequality are rechecked exactly.
     """
     o = orient(pair, xi)
-    ok, cycle = is_acyclic(o)
-    if not ok:
+    succ = _upward_successors(o)
+    post, cycle = _postorder(o.vertices, succ)
+    if cycle is not None:
         raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
-    succ: dict[str, list[str]] = {v: [] for v in o.vertices}
-    for p, q in o.edges:
-        succ[p].append(q)
-    # longest path by postorder DP; acyclicity was just established
-    post: list[str] = []
-    state = {v: 0 for v in o.vertices}
-    for start in o.vertices:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(v)
-                stack.pop()
+    # longest path by postorder DP
     longest: dict[str, int] = {}
     for v in post:
         longest[v] = max((longest[w] + 1 for w in succ[v]), default=0)
@@ -426,9 +419,6 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     level the filtered dimension must equal the row-rank dimension.
     """
     o = orient(pair, xi)
-    ok, cycle = is_acyclic(o)
-    if not ok:
-        raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
     phi = positively_oriented_function(pair, xi)
     d = pair.valence
     n = pair.n

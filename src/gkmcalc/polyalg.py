@@ -31,6 +31,14 @@ from . import linalg
 Monomial = tuple[int, ...]
 
 
+class InputError(ValueError):
+    """The arguments themselves are unusable: unparseable, mis-shaped or mismatched.
+
+    Violations of the mathematics (walls, directed cycles, non-classes,
+    failed cross-checks) are raised as other errors.
+    """
+
+
 class NonPolynomialResultError(ArithmeticError):
     """A localized sum that had to be polynomial failed to simplify to one."""
 
@@ -47,7 +55,10 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as err:
+            raise InputError(f"bad rational {value!r}: {err}") from err
     raise TypeError(f"exact rational required, got {value!r}")
 
 
@@ -414,19 +425,10 @@ class LinearForm:
         if covector.is_zero():
             raise ValueError("linear form must be nonzero")
         self.covector = covector
-        den = 1
-        for c in covector.coords:
-            den = math.lcm(den, c.denominator)
-        ints = [int(c * den) for c in covector.coords]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        self.canonical = tuple(ints)
-        i0 = next(i for i, v in enumerate(ints) if v)
+        nonzero = {i: c for i, c in enumerate(covector.coords) if c}
+        i0 = min(nonzero)
+        ints = linalg._primitive(nonzero, i0)
+        self.canonical = tuple(ints.get(i, 0) for i in range(covector.n))
         self.scale = covector.coords[i0] / ints[i0]
 
     @property
@@ -830,7 +832,7 @@ def residue(
     """
     forms = _coerce_forms(alphas)
     if f.n != xi.n or any(form.n != xi.n for form in forms):
-        raise ValueError("dimension mismatch")
+        raise InputError("dimension mismatch")
     for idx, form in enumerate(forms):
         if form.evaluate(xi) == 0:
             raise ValueError(f"denominator {idx} vanishes on xi")

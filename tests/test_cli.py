@@ -4,9 +4,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from gkmcalc import complete_graph
 from gkmcalc.cli import main
 
 
@@ -309,3 +311,101 @@ def test_betti_xi_of_the_wrong_dimension_exits_2(capsys, cp2_file):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "--xi has 3 coordinates" in captured.err
+
+
+def _degree0_class(vertices, n):
+    one = {"n": n, "terms": [{"exp": [0] * n, "coef": "1"}]}
+    return {"degree": 0, "values": {v: one for v in vertices}}
+
+
+def _file(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    return str(path)
+
+
+# Each case builds argv from a temporary directory and the cp2 graph file.
+BAD_INPUTS = [
+    pytest.param(
+        lambda tmp, g: ["cycle", "--count", "4", "--a1", "1,0", "--a2", "1,0,0"],
+        id="cycle-mixed-dimensions",
+    ),
+    pytest.param(
+        lambda tmp, g: ["complete", "--alphas", "0,0;1,0;1,0"], id="complete-coinciding-points"
+    ),
+    pytest.param(
+        lambda tmp, g: ["complete", "--alphas", "0,0;1,0,0"], id="complete-mixed-dimensions"
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "product",
+            g,
+            _file(tmp / "seg3.json", complete_graph([(0, 0, 0), (1, 0, 0)]).to_json()),
+        ],
+        id="product-mixed-dimensions",
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "integrate", g, "--class", _file(tmp / "c.json", _degree0_class("12", 2))
+        ],
+        id="class-missing-a-vertex",
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "integrate", g, "--class", _file(tmp / "c.json", _degree0_class("123", 3))
+        ],
+        id="class-in-the-wrong-ring",
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "jk", g, "--class", _file(tmp / "c.json", {**_degree0_class("123", 2), "degree": 0.0}),
+            "--xi", "1,2", "--c=-1/2",
+        ],
+        id="class-degree-not-an-integer",
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "residue",
+            "--poly",
+            _file(tmp / "f.json", {"n": 2, "terms": [{"exp": [2, 0], "coef": "1/0"}]}),
+            "--alpha",
+            "1,0",
+            "--xi",
+            "1,1",
+        ],
+        id="zero-denominator-coefficient",
+    ),
+    pytest.param(
+        lambda tmp, g: ["validate", g, "--out", str(tmp / "missing" / "x.json")],
+        id="out-in-a-missing-directory",
+    ),
+    pytest.param(
+        lambda tmp, g: [
+            "cohdim", g, "--max-degree", "1", "--basis", str(Path(_file(tmp / "f", {})) / "x")
+        ],
+        id="basis-under-a-file",
+    ),
+    pytest.param(
+        lambda tmp, g: ["validate", _file(tmp / "bin.json", b"\xff\xfe")],
+        id="graph-file-not-utf8",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_unusable_input_exits_2_with_a_message(capsys, tmp_path, cp2_file, argv):
+    code = main(argv(tmp_path, cp2_file))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+
+
+def test_collinear_points_are_a_violation(capsys):
+    code = main(["complete", "--alphas", "0,0;1,0;2,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("violation: ")

@@ -1,0 +1,141 @@
+"""Seeded fuzz of the command line over mutated input documents and flags.
+
+Every run must end with exit code 0, 1 or 2 (argparse's own exit 2
+included), no exception may escape ``main``, and a successful run must
+write a JSON document.
+"""
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from gkmcalc import complete_graph
+from gkmcalc.cli import main
+
+GRAPH = complete_graph([(0, 0), (1, 0), (0, 1)]).to_json()
+CLASS = {
+    "degree": 0,
+    "values": {v: {"n": 2, "terms": [{"exp": [0, 0], "coef": "1"}]} for v in ("1", "2", "3")},
+}
+POLY = {"n": 2, "terms": [{"exp": [2, 0], "coef": "1"}, {"exp": [1, 1], "coef": "-1/2"}]}
+DOCS = {"graph": GRAPH, "class": CLASS, "poly": POLY}
+
+JUNK = [[], {}, 0.0, True, None, "abc", "1/0", ""]
+XIS = [None, "1,2", "1,0", "1,2,3", "0,0", "abc"]
+ALPHAS = ["0,0;1,0;0,1", "0,0;1,0;1,0", "0,0;1,0,0", "0,0;abc", "0,0;1,0;2,0"]
+COVECTORS = ["1,0", "0,1", "2,0", "0,0", "1,0,0", "abc"]
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+MUTATIONS = {
+    "graph": ["drop", "replace", "n", "alpha"],
+    "class": ["drop", "replace", "n", "vertex"],
+    "poly": ["drop", "replace", "n"],
+}
+
+
+@st.composite
+def documents(draw):
+    """The three documents, each left intact half the time and else mutated once."""
+    docs = copy.deepcopy(DOCS)
+    for name, doc in docs.items():
+        kind = draw(st.one_of(st.just("none"), st.sampled_from(MUTATIONS[name])))
+        if kind in ("drop", "replace"):
+            path, key = draw(st.sampled_from(list(_paths(doc))))
+            parent = _at(doc, path)
+            if kind == "drop":
+                del parent[key]
+            else:
+                parent[key] = draw(st.sampled_from(JUNK))
+        elif kind == "n":
+            n = draw(st.sampled_from([0, 1, 3]))
+            for target in doc["values"].values() if name == "class" else [doc]:
+                target["n"] = n
+        elif kind == "vertex":
+            del doc["values"][draw(st.sampled_from(sorted(doc["values"])))]
+        elif kind == "alpha":
+            edge = draw(st.sampled_from(doc["edges"]))
+            edge["alpha"] = edge["alpha"][:1]
+    return docs
+
+
+@st.composite
+def command_lines(draw):
+    """argv with the placeholders GRAPH, CLASS, POLY for the document paths."""
+    xi = draw(st.sampled_from(XIS))
+    with_xi = [] if xi is None else ["--xi", xi]
+    max_degree = ["--max-degree", draw(st.sampled_from(["-1", "0", "2"]))]
+    return draw(
+        st.sampled_from(
+            [
+                ["validate", "GRAPH"],
+                ["cohdim", "GRAPH", *max_degree],
+                ["integrate", "GRAPH", "--class", "CLASS"],
+                ["residue", "--poly", "POLY", "--alpha", "1,0", "--alpha", "0,1",
+                 "--xi", xi or "1,2"],
+                ["jk", "GRAPH", "--class", "CLASS", "--sweep", *with_xi],
+                ["jk", "GRAPH", "--class", "CLASS", "--c=-1/2", *with_xi],
+                ["betti", "GRAPH", *with_xi],
+                ["morse", "GRAPH", *max_degree, *with_xi],
+                ["blowup", "GRAPH", "--vertex", draw(st.sampled_from(["1", "9"]))],
+                ["product", "GRAPH", "GRAPH"],
+                ["complete", "--alphas", draw(st.sampled_from(ALPHAS))],
+                ["cycle", "--count", draw(st.sampled_from(["4", "5", "8"])),
+                 "--a1", draw(st.sampled_from(COVECTORS)),
+                 "--a2", draw(st.sampled_from(COVECTORS))],
+            ]
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    # module-scoped: hypothesis rejects function-scoped fixtures under @given
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "present").mkdir()  # --out goes to present/ or to a missing/ directory
+    return path
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(docs=documents(), argv=command_lines(), out=st.sampled_from([None, "present", "missing"]))
+def test_cli_never_ends_in_a_traceback(workdir, docs, argv, out):
+    paths = {}
+    for name, doc in docs.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name.upper()] = str(path)
+    argv = [paths.get(arg, arg) for arg in argv]
+    out_path = None if out is None else workdir / out / "out.json"
+    if out_path is not None:
+        argv += ["--out", str(out_path)]
+        out_path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 1, 2), (argv, stderr.getvalue())
+    if code == 0:
+        text = stdout.getvalue() if out_path is None else out_path.read_text()
+        json.loads(text)
