@@ -14,6 +14,7 @@ strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -222,6 +223,9 @@ def cmd_cycle(args):
     return {"graph": gpair}, True
 
 
+# Built once per process: in-process callers of main() would otherwise pay
+# for the parser on every call.  Callers must not modify the shared parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON document to this path instead of stdout")

@@ -1,10 +1,12 @@
 """Exact multivariate polynomial algebra, linear forms, and residues.
 
-All coefficients are `fractions.Fraction`; no floating point is used
-anywhere in this package.  Polynomials are sparse maps from exponent
-tuples to nonzero coefficients.  Whenever terms must be listed
-canonically they are sorted in graded-lexicographic order (total degree
-first, then the exponent tuple), largest first.
+Arithmetic is exact rational; no floating point is used anywhere in this
+package.  Polynomials are sparse maps from exponent tuples to nonzero
+integer numerators over one common positive denominator, kept in lowest
+terms; their coefficients leave the class as `fractions.Fraction`s.
+Whenever terms must be listed canonically they are sorted in
+graded-lexicographic order (total degree first, then the exponent tuple),
+largest first.
 
 A covector is a linear functional on the acting torus's Lie algebra,
 written in coordinates; a vector lives in the algebra itself.  A
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -131,15 +134,27 @@ def pair(cov: Covector, vec: Vector) -> Fraction:
     return sum((a * b for a, b in zip(cov.coords, vec.coords)), Fraction(0))
 
 
+def _split(terms: dict[Monomial, int], j: int) -> dict[int, dict[Monomial, int]]:
+    """Group terms by the exponent of x_j, with that exponent zeroed."""
+    parts: dict[int, dict[Monomial, int]] = {}
+    for exp, c in terms.items():
+        parts.setdefault(exp[j], {})[exp[:j] + (0,) + exp[j + 1 :]] = c
+    return parts
+
+
 class Polynomial:
     """Sparse exact polynomial in ``n`` variables.
 
-    The term map never stores zero coefficients, so structural equality is
-    mathematical equality.  Instances are immutable by convention; all
-    operations return new objects.
+    Coefficients are stored as integer numerators over one common positive
+    denominator: ``_terms`` maps exponent tuples to nonzero ints and
+    ``_den`` is an int.  The pair is kept in lowest terms (the gcd of the
+    denominator and every numerator is 1, and zero has denominator 1), so
+    structural equality is mathematical equality.  ``terms``,
+    ``coefficient`` and ``evaluate`` hand out ``Fraction``s.  Instances are
+    immutable by convention; all operations return new objects.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_den")
 
     def __init__(
         self,
@@ -166,7 +181,11 @@ class Polynomial:
                         acc[key] = total
                     elif prev is not None:
                         del acc[key]
-        self._terms = acc
+        # reduced fractions cleared to the lcm of their denominators are
+        # already in lowest terms
+        den = math.lcm(*(q.denominator for q in acc.values()))
+        self._terms = {e: q.numerator * (den // q.denominator) for e, q in acc.items()}
+        self._den = den
 
     # --- constructors -------------------------------------------------
 
@@ -194,6 +213,20 @@ class Polynomial:
                 terms[tuple(1 if j == i else 0 for j in range(n))] = c
         return cls(n, terms)
 
+    @classmethod
+    def _raw(cls, n: int, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
+        """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                den //= g
+        p = object.__new__(cls)
+        p.n = n
+        p._terms = terms
+        p._den = den
+        return p
+
     # --- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -201,10 +234,14 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical (graded-lex, largest first) order."""
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        den = self._den
+        return [
+            (exp, Fraction(c, den))
+            for exp, c in sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        ]
 
     def coefficient(self, exp: Monomial) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+        return Fraction(self._terms.get(tuple(exp), 0), self._den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -239,48 +276,50 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.n == other.n
+            and self._den == other._den
             and self._terms == other._terms
         )
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _add_scaled(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        out = dict(self._terms)
-        for exp, q in other._terms.items():
-            total = out.get(exp, Fraction(0)) + q
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        out = {e: c * f1 for e, c in self._terms.items()} if f1 != 1 else dict(self._terms)
+        f2 *= sign
+        get = out.get
+        for e, c in other._terms.items():
+            total = get(e, 0) + c * f2
             if total:
-                out[exp] = total
-            elif exp in out:
-                del out[exp]
-        return self._raw(self.n, out)
+                out[e] = total
+            else:
+                del out[e]
+        return self._raw(self.n, out, d1 * f1)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self._terms)
-        for exp, q in other._terms.items():
-            total = out.get(exp, Fraction(0)) - q
-            if total:
-                out[exp] = total
-            elif exp in out:
-                del out[exp]
-        return self._raw(self.n, out)
+        return self._add_scaled(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return self._raw(self.n, {e: -q for e, q in self._terms.items()})
+        return self._raw(self.n, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for e1, q1 in self._terms.items():
-            for e2, q2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(key, Fraction(0)) + q1 * q2
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-        return self._raw(self.n, out)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        terms2 = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in terms2:
+                key = tuple(map(operator.add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        if not all(out.values()):
+            out = {e: c for e, c in out.items() if c}
+        return self._raw(self.n, out, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,7 +330,9 @@ class Polynomial:
         q = as_fraction(q)
         if not q:
             return Polynomial.zero(self.n)
-        return self._raw(self.n, {e: q * c for e, c in self._terms.items()})
+        a = q.numerator
+        terms = {e: a * c for e, c in self._terms.items()} if a != 1 else self._terms
+        return self._raw(self.n, terms, self._den * q.denominator)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -306,57 +347,50 @@ class Polynomial:
                 base = base * base
         return out
 
-    @classmethod
-    def _raw(cls, n: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        p = object.__new__(cls)
-        p.n = n
-        p._terms = terms
-        return p
-
     # --- structure ----------------------------------------------------
 
     def split_by_variable(self, j: int) -> dict[int, "Polynomial"]:
         """Write self = sum_r x_j^r * part[r] with x_j absent from each part."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
-        for exp, q in self._terms.items():
-            r = exp[j]
-            stripped = exp[:j] + (0,) + exp[j + 1 :]
-            parts.setdefault(r, {})[stripped] = q
-        return {r: self._raw(self.n, t) for r, t in parts.items()}
+        return {r: self._raw(self.n, t, self._den) for r, t in _split(self._terms, j).items()}
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Ring morphism sending x_i to images[i] (default: itself)."""
+        """Ring morphism sending x_i to images[i] (default: itself).
+
+        Horner's scheme, one variable at a time: the terms are grouped by
+        the exponent of x_j and ``acc = acc * images[j] + inner(part_r)``
+        runs from the top power down, so each step multiplies by one image.
+        Variables without an image stay in the monomials.
+        """
         for img in images.values():
             if img.n != self.n:
                 raise ValueError("substitution images must live in the same ring")
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+        order = sorted(images)
 
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = images[i] ** e if i in images else None
-                if got is None:
-                    exp = tuple(e if j == i else 0 for j in range(self.n))
-                    got = self._raw(self.n, {exp: Fraction(1)})
-                power_cache[key] = got
-            return got
+        def horner(terms: dict[Monomial, int], depth: int) -> Polynomial:
+            if depth == len(order):
+                return self._raw(self.n, terms)
+            image = images[order[depth]]
+            parts = _split(terms, order[depth])
+            top = max(parts)
+            acc = horner(parts[top], depth + 1)
+            for r in range(top - 1, -1, -1):
+                acc = acc * image
+                part = parts.get(r)
+                if part is not None:
+                    acc = acc + horner(part, depth + 1)
+            return acc
 
-        out = Polynomial.zero(self.n)
-        for exp, q in self._terms.items():
-            term = Polynomial.constant(self.n, q)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        if not self._terms:
+            return self
+        out = horner(self._terms, 0)
+        return self._raw(self.n, out._terms, out._den * self._den)
 
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.n:
             raise ValueError("evaluation point has wrong dimension")
         pt = [as_fraction(c) for c in point]
         total = Fraction(0)
-        for exp, q in self._terms.items():
+        for exp, q in self.terms():
             val = q
             for c, e in zip(pt, exp):
                 if e:
@@ -620,7 +654,8 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
         scale = Fraction(1)
         for form in term.denominators:
             key = form.canonical
-            canon_forms.setdefault(key, LinearForm(Covector(key)))
+            if key not in canon_forms:
+                canon_forms[key] = LinearForm(Covector(key))
             mult[key] = mult.get(key, 0) + 1
             scale *= form.scale
         cleaned.append((num.scaled(1 / scale), mult))

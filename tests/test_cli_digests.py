@@ -1,0 +1,166 @@
+"""Byte-level pins of the localization commands on non-trivial classes.
+
+Each case runs `integrate`, `jk --c`, `jk --sweep --xi` and `residue` with
+both methods on a fixture pair and a Chern-monomial class of degree d-1,
+d or d+1 (d the valence), and compares the sha256 of stdout with a
+recorded digest.  Any change to the JSON these commands print, down to
+the order of terms or the spelling of a rational, fails here.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from gkmcalc.cli import main
+from gkmcalc.cohomology import chern_class
+
+# fixture -> (direction xi, level c for the single-level pushforward)
+CASES = {
+    "gamma5": ("1,3", "-3/2"),
+    "gamma4": ("1,2,4", "-1/97"),
+    "blowup": ("1,2", "-1/2"),
+    "prod": ("2,3", "-3/2"),
+}
+
+# Two Chern monomials per degree; the coefficients give denominators up to 12.
+COEFFS = (Fraction(3, 4), Fraction(-5, 6))
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _probe(pair, degree):
+    cls = None
+    for q, mono in zip(COEFFS, _partitions(degree, pair.valence)):
+        term = None
+        for i in mono:
+            term = chern_class(pair, i) if term is None else term * chern_class(pair, i)
+        term = term.scaled(q)
+        cls = term if cls is None else cls + term
+    return cls
+
+
+def _digest(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def _digests(capsys, tmp_path, pair, xi, c):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(pair.to_json()))
+    vertex = pair.vertices[-1]
+    alphas = [f"--alpha={','.join(str(x) for x in pair.axial_at(vertex, q))}"
+              for q in pair.neighbors(vertex)]
+    out = {}
+    for degree in range(pair.valence - 1, pair.valence + 2):
+        cls = _probe(pair, degree)
+        cpath = tmp_path / f"p{degree}.json"
+        cpath.write_text(json.dumps(cls.to_json()))
+        fpath = tmp_path / f"p{degree}_f.json"
+        fpath.write_text(json.dumps(cls.value(vertex).to_json()))
+        runs = {
+            "integrate": ["integrate", str(graph), f"--class={cpath}"],
+            "jk-c": ["jk", str(graph), f"--class={cpath}", f"--xi={xi}", f"--c={c}"],
+            "sweep": ["jk", str(graph), f"--class={cpath}", "--sweep", f"--xi={xi}"],
+            "residue-series": ["residue", f"--poly={fpath}", *alphas, f"--xi={xi}",
+                               "--method=series"],
+            "residue-formula": ["residue", f"--poly={fpath}", *alphas, f"--xi={xi}",
+                                "--method=formula"],
+        }
+        for name, argv in runs.items():
+            out[f"p{degree}:{name}"] = _digest(capsys, argv)
+    return out
+
+
+# Recorded from the polynomial kernel on Fraction coefficients, before the
+# integer-numerator rewrite.
+DIGESTS = {
+    "blowup": {
+        "p1:integrate": "14be6ab97208d847cb541400f1226a0998161f4a75cffd5731132a2245466878",
+        "p1:jk-c": "47c004aae4faf9b59324fb5e7cb3961b7b739525169e496f08d2e799ae2bb69d",
+        "p1:residue-formula": "17ade6d7759a4debd6ca6f8bce3d1e13a9a1a9ee352bbe3f094849399de3b930",
+        "p1:residue-series": "17ade6d7759a4debd6ca6f8bce3d1e13a9a1a9ee352bbe3f094849399de3b930",
+        "p1:sweep": "5fe00c557791b9293590df635416a534927e60268023261be3796dfb7a156c42",
+        "p2:integrate": "684d1c3da46a0598f1e988d31416695eaa470260ebbdc48390f27b97a43e007e",
+        "p2:jk-c": "f79ad32acf3e1341dc417d33314774375b9314ff09178ac82b2f08f2c12d2d37",
+        "p2:residue-formula": "d3410b63bb83ec8d48523661b72f39c82db758eacb34dcb0f80caea6a6e43648",
+        "p2:residue-series": "d3410b63bb83ec8d48523661b72f39c82db758eacb34dcb0f80caea6a6e43648",
+        "p2:sweep": "a3047611fa16876f2e3e78e155455299038e3b9c1c41fc749b2210651d9efd80",
+        "p3:integrate": "c29a692e8a33e37cfcc34ab323dcdb58b90224ba85b23ab63fa7cae4d92fb795",
+        "p3:jk-c": "45ba9e88c4be038c50cb9490f0886b431cb3878d94fa7e7cb726be931b627397",
+        "p3:residue-formula": "196993427b0fc141b7bccbf13e6035aaeb14c5df1cdbad885031fb6ee76ae3ec",
+        "p3:residue-series": "196993427b0fc141b7bccbf13e6035aaeb14c5df1cdbad885031fb6ee76ae3ec",
+        "p3:sweep": "d642985cd27351b8a114d92c336f477bd45dd32f3360aa4f962cf8e0326ed93e",
+    },
+    "gamma4": {
+        "p2:integrate": "1f275427deb9a6d5f7d7b48bc7d1a7f1bba57ae6abc6a4aa60e3dd4a2c1aac03",
+        "p2:jk-c": "33fa54fb41d794e3360fe861cea6bc6fb83512a7a804702ea11ba10923bdf65b",
+        "p2:residue-formula": "d8ce0dc64529ab8746da581d68707f3e5dbc9a770e1805024ad751addb3b1cb4",
+        "p2:residue-series": "d8ce0dc64529ab8746da581d68707f3e5dbc9a770e1805024ad751addb3b1cb4",
+        "p2:sweep": "1de0bad8fd60d0857513c423326c99e2ff3ddb5358aad8a6c2b66b1a3b857ff1",
+        "p3:integrate": "c7a57c32e75de1adcd94febbfa1ba91e3e071298a96c660ddc31a167fbeb17fb",
+        "p3:jk-c": "611ffc548cf21333310b8fc9a619c9b191d735754695a5de1656d8a01911309e",
+        "p3:residue-formula": "5fd36ae36855c11f3372437513f46682767d6b8235c4aad296ccdb641c0f0bb8",
+        "p3:residue-series": "5fd36ae36855c11f3372437513f46682767d6b8235c4aad296ccdb641c0f0bb8",
+        "p3:sweep": "50325e14caa3f2017e5207085ea7cc292297f39a99882a134765bb8766283e6f",
+        "p4:integrate": "1f275427deb9a6d5f7d7b48bc7d1a7f1bba57ae6abc6a4aa60e3dd4a2c1aac03",
+        "p4:jk-c": "55ab45dbc94e0a0098e5593dd2bca16436236b43195a3b1eb21606291dbcdc16",
+        "p4:residue-formula": "4a61c58cd9eb0ba381cb34ff81df7e76bd609a047d34837a324bfc4a0601146c",
+        "p4:residue-series": "4a61c58cd9eb0ba381cb34ff81df7e76bd609a047d34837a324bfc4a0601146c",
+        "p4:sweep": "72f2657fba9ca9fa05835d358575163e031d814974dde4b09cdc680e1753af9b",
+    },
+    "gamma5": {
+        "p3:integrate": "14be6ab97208d847cb541400f1226a0998161f4a75cffd5731132a2245466878",
+        "p3:jk-c": "2e38830f1efbd1d2468a68478c4d5f03b53e5bbef6fc03b68deb4fe505dbd015",
+        "p3:residue-formula": "6a30b2ac87a798b998224d70c447a08d1d8bc9259346f08fb3d416f40f1557a6",
+        "p3:residue-series": "6a30b2ac87a798b998224d70c447a08d1d8bc9259346f08fb3d416f40f1557a6",
+        "p3:sweep": "8ea8cce95951dccd91406046f25543e391dbfc4d217ef7339009a7330f4b8ad7",
+        "p4:integrate": "e69cc286d2997cfcb240ae751801dfb9becaa484324f480ec04f4bb09d2b34b2",
+        "p4:jk-c": "7f5328812519aaa95ee435201ea979590de5f5cebb715165871a840e60d0d0c3",
+        "p4:residue-formula": "77a422c87212f0994ca44fac49bae299aaa5212f4ee5f39145ee855390d5ee42",
+        "p4:residue-series": "77a422c87212f0994ca44fac49bae299aaa5212f4ee5f39145ee855390d5ee42",
+        "p4:sweep": "8da18e5e8f281002e2c96bfecbcc487acb44262ba84730949306ebf968ed7447",
+        "p5:integrate": "14be6ab97208d847cb541400f1226a0998161f4a75cffd5731132a2245466878",
+        "p5:jk-c": "428da25a6c2f5150f6cad3104b46fe2484fe451fe7e13b7d1c7ad0d17e6f6e66",
+        "p5:residue-formula": "bb2c35d134b8317057253a9470f8347f60227eba1010b2bff5ad4050da6e389e",
+        "p5:residue-series": "bb2c35d134b8317057253a9470f8347f60227eba1010b2bff5ad4050da6e389e",
+        "p5:sweep": "404ad8aa902f79d88478c43c822b14c77fb0287bcff71b518e667bd069310420",
+    },
+    "prod": {
+        "p2:integrate": "14be6ab97208d847cb541400f1226a0998161f4a75cffd5731132a2245466878",
+        "p2:jk-c": "fe7eb39b4b25f8d738e9684d1e128a42bdc6c666196309782bea5bcfdb540821",
+        "p2:residue-formula": "e1ea083ecfb57b68d291e2e3cef582cf270267d043dcd40041e2ac58d2f2ca7c",
+        "p2:residue-series": "e1ea083ecfb57b68d291e2e3cef582cf270267d043dcd40041e2ac58d2f2ca7c",
+        "p2:sweep": "5a2305da8225450e6262986d656698d1799257bf8fb18f89a8c933acd38c0684",
+        "p3:integrate": "11690463370e1af3f268b09b76207f3a42d7ce13d82d6a9c574e2927753a7a1d",
+        "p3:jk-c": "cded7c40e37230c732017973a33679f520185ef73e3b4cd8b8849b14fd8288d6",
+        "p3:residue-formula": "d156b23335c00294556db3e1677dd0a291eaee3b0a4e40d1e7566ce64e52246e",
+        "p3:residue-series": "d156b23335c00294556db3e1677dd0a291eaee3b0a4e40d1e7566ce64e52246e",
+        "p3:sweep": "1039f94cbc012ef6655591f0e6f7569808b4d248ded179e79830102f77ffc336",
+        "p4:integrate": "14be6ab97208d847cb541400f1226a0998161f4a75cffd5731132a2245466878",
+        "p4:jk-c": "c6952e54a1a54ee41b2bcfd346a9183c1111c2db57980ca88dfaabe7b794e5b0",
+        "p4:residue-formula": "455927812a7117c5eed2eaa59190e39715dbfd10f89fdaf2b33a7ff5a2c3966c",
+        "p4:residue-series": "455927812a7117c5eed2eaa59190e39715dbfd10f89fdaf2b33a7ff5a2c3966c",
+        "p4:sweep": "9685e7d3be170087d6a96c9a2b88c6a47afa00bd1c5b56be8eac60594b0d8b4d",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CASES))
+def test_localization_output_is_pinned(request, capsys, tmp_path, fixture):
+    pair = request.getfixturevalue(fixture)
+    if fixture == "blowup":
+        pair = pair[0]
+    xi, c = CASES[fixture]
+    assert _digests(capsys, tmp_path, pair, xi, c) == DIGESTS[fixture]

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import given, seed, settings, strategies as st
 
 from gkmcalc.polyalg import (
     Covector,
@@ -321,3 +322,126 @@ def test_polynomiality_detector():
         is_polynomial_via_residues(pole, xi, Covector((2, 0)), 2)  # theta(xi) != 1
     with pytest.raises(ValueError):
         is_polynomial_via_residues(pole, xi, theta, 0)  # below the Vandermonde bound
+
+
+# --- the kernel against sympy ------------------------------------------------
+
+kernel_settings = settings(max_examples=100, deadline=None)
+coefs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def rings(draw, count, max_exp=3):
+    """A variable count n = 1..3 and `count` polynomials in n variables."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    polys = st.dictionaries(exps, coefs, max_size=5).map(lambda d: Polynomial(n, d))
+    return n, [draw(polys) for _ in range(count)]
+
+
+def _gens(n):
+    return sympy.symbols(f"x0:{n}")
+
+
+def to_sympy(p):
+    gens = _gens(p.n)
+    expr = sum((sympy.Rational(q.numerator, q.denominator) * sympy.prod(
+        [g**e for g, e in zip(gens, exp)]) for exp, q in p.terms()), sympy.Integer(0))
+    return sympy.Poly(expr, *gens, domain="QQ")
+
+
+def from_sympy(poly):
+    """The nonzero terms of a sympy polynomial as {exponent tuple: Fraction}."""
+    return {tuple(exp): Fraction(int(c.p), int(c.q)) for exp, c in poly.terms() if c}
+
+
+def assert_matches(p, poly):
+    assert dict(p.terms()) == from_sympy(poly)
+    assert all(type(q) is Fraction for _, q in p.terms())
+
+
+@seed(20261018)
+@kernel_settings
+@given(rings(2), coefs, st.integers(0, 3))
+def test_arithmetic_matches_sympy(ring, q, k):
+    n, (a, b) = ring
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert_matches(a + b, sa + sb)
+    assert_matches(a - b, sa - sb)
+    assert_matches(a * b, sa * sb)
+    assert_matches(-a, -sa)
+    assert_matches(a.scaled(q), sa * sympy.Rational(q.numerator, q.denominator))
+    assert_matches(a**k, sa**k)
+
+
+@seed(20261018)
+@kernel_settings
+@given(rings(4, max_exp=2), st.lists(st.sampled_from(("linear", "any", "none")), min_size=3,
+                                     max_size=3))
+def test_substitute_matches_sympy(ring, kinds):
+    """Images are linear, arbitrary (often non-linear) or absent, per variable."""
+    n, (f, *candidates) = ring
+    images = {}
+    for i in range(n):
+        img = candidates[i]
+        if kinds[i] == "linear":
+            img = Polynomial(n, {e: q for e, q in img.terms() if sum(e) == 1})
+        if kinds[i] != "none":
+            images[i] = img
+    gens = _gens(n)
+    expected = to_sympy(f).as_expr().xreplace(
+        {gens[i]: to_sympy(img).as_expr() for i, img in images.items()})
+    assert_matches(f.substitute(images), sympy.Poly(expected, *gens, domain="QQ"))
+    assert f.substitute({}) == f
+
+
+@seed(20261018)
+@kernel_settings
+@given(rings(1), st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
+def test_coefficients_come_back_as_fractions(ring, exp):
+    n, (a,) = ring
+    exp = exp[:n]
+    expected = from_sympy(to_sympy(a)).get(exp, Fraction(0))
+    got = a.coefficient(exp)
+    assert type(got) is Fraction and got == expected
+    assert a.coefficient((9,) * n) == Fraction(0)
+    assert type(a.coefficient((9,) * n)) is Fraction
+
+
+@seed(20261018)
+@kernel_settings
+@given(rings(2), coefs.filter(bool))
+def test_equal_polynomials_are_equal_objects(ring, q):
+    n, (a, b) = ring
+    pairs = [
+        ((a * b).scaled(q), a.scaled(q) * b),
+        (a + b - b, a),
+        ((a - a) * b, Polynomial.zero(n)),
+        (a.scaled(q).scaled(1 / q), a),
+        (a + b, b + a),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert left.to_json() == right.to_json()
+        assert repr(left) == repr(right)
+
+
+def test_zero_polynomial_and_the_empty_ring():
+    zero = Polynomial.zero(2)
+    assert zero.is_zero() and zero.terms() == [] and zero.total_degree() == -1
+    assert zero == Polynomial(2, {(1, 0): Fraction(1, 3), (0, 1): 0}) - Polynomial(
+        2, {(1, 0): Fraction(2, 6)})
+    assert zero.to_json() == {"n": 2, "terms": []}
+    assert zero * Polynomial.variable(2, 0) == zero and zero**0 == Polynomial.constant(2, 1)
+    assert zero.substitute({0: Polynomial.variable(2, 1)}) == zero
+    assert zero.coefficient((0, 0)) == 0 and type(zero.coefficient((0, 0))) is Fraction
+    assert repr(zero) == "0"
+
+    a = Polynomial(0, {(): Fraction(-3, 4)})
+    b = Polynomial.constant(0, "5/6")
+    assert (a + b).terms() == [((), Fraction(1, 12))]
+    assert (a * b).coefficient(()) == Fraction(-5, 8)
+    assert (a - a).is_zero() and (a - a) == Polynomial.zero(0)
+    assert (a**3).coefficient(()) == Fraction(-27, 64)
+    assert a.substitute({}) == a and a.evaluate(()) == Fraction(-3, 4)
+    assert Polynomial.from_json(a.to_json()) == a
