@@ -14,9 +14,10 @@ bounds rest on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from . import linalg
 from .cohomology import coh_basis, compatibility_rows
@@ -184,12 +185,14 @@ def _axial_classes(pair: GkmPair) -> list[LinearForm]:
     return list(seen.values())
 
 
-def _feasible(rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction] | None:
-    """Rational witness for the strict system row . x > 0, or None.
+def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
+    """Rational witness for the strict system row . x > 0 over integer rows, or None.
 
     The last variable is eliminated by combining rows of opposite sign
-    there; a witness for the reduced system is extended by picking the
-    last coordinate strictly between the surviving bounds.
+    there, each combination divided by the gcd of its entries into a set,
+    so positive multiples of a row merge; that moves no bound, so the
+    witness is the unmerged one.  A witness for the reduced system is
+    extended by picking the last coordinate strictly between the bounds.
     """
     if any(not any(r) for r in rows):
         return None
@@ -197,17 +200,17 @@ def _feasible(rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction] | No
         return []
     lower = [r for r in rows if r[n - 1] > 0]
     upper = [r for r in rows if r[n - 1] < 0]
-    reduced: list[tuple[Fraction, ...]] = [tuple(r[: n - 1]) for r in rows if r[n - 1] == 0]
+    reduced = {tuple(r[: n - 1]) for r in rows if r[n - 1] == 0}
     for a in lower:
         for b in upper:
-            reduced.append(
-                tuple(a[i] * -b[n - 1] + b[i] * a[n - 1] for i in range(n - 1))
-            )
+            row = tuple(a[i] * -b[n - 1] + b[i] * a[n - 1] for i in range(n - 1))
+            g = math.gcd(*row)
+            reduced.add(row if g <= 1 else tuple(x // g for x in row))
     point = _feasible(reduced, n - 1)
     if point is None:
         return None
-    lo = [-sum(r[i] * point[i] for i in range(n - 1)) / r[n - 1] for r in lower]
-    hi = [-sum(r[i] * point[i] for i in range(n - 1)) / r[n - 1] for r in upper]
+    lo = [Fraction(-sum(r[i] * point[i] for i in range(n - 1)), r[n - 1]) for r in lower]
+    hi = [Fraction(-sum(r[i] * point[i] for i in range(n - 1)), r[n - 1]) for r in upper]
     if lo and hi:
         a, b = max(lo), min(hi)
         if a >= b:
@@ -226,21 +229,27 @@ def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
     """Every chamber of the wall arrangement as (sign vector, witness), exactly.
 
     Depth-first over sign prefixes in class order, -1 before +1, so chambers
-    come out in ascending sign-vector order.  A prefix whose strict system
-    is infeasible is dropped with all its extensions; a full-length sign
-    vector's witness is the feasibility witness of its whole system.
+    come out in ascending sign-vector order; rows are +-1 times each class's
+    primitive integer covector.  A prefix whose strict system is infeasible
+    is dropped with all its extensions.  Below the last class, a child
+    keeps its parent's witness when that is strictly positive on the new
+    row; a full-length sign vector's witness is always the feasibility
+    witness of its whole system.
     """
+    signed = [(tuple(-c for c in cls.canonical), cls.canonical) for cls in classes]
 
     def extend(signs: tuple[int, ...], rows: list, witness: list[Fraction]):
-        if len(signs) == len(classes):
+        depth = len(signs)
+        if depth == len(classes):
             for row in rows:
                 if sum(c * x for c, x in zip(row, witness)) <= 0:
                     raise ArithmeticError("feasibility witness fails its own system")
             yield signs, witness
             return
-        for s in (-1, 1):
-            grown = rows + [tuple(Fraction(s * c) for c in classes[len(signs)].canonical)]
-            w = _feasible(grown, n)
+        for s, row in zip((-1, 1), signed[depth]):
+            grown = rows + [row]
+            reuse = depth + 1 < len(classes) and sum(c * x for c, x in zip(row, witness)) > 0
+            w = witness if reuse else _feasible(grown, n)
             if w is not None:
                 yield from extend(signs + (s,), grown, w)
 

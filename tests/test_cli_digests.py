@@ -1,10 +1,13 @@
-"""Byte-level pins of the localization commands on non-trivial classes.
+"""Byte-level pins of the localization and chamber commands.
 
-Each case runs `integrate`, `jk --c`, `jk --sweep --xi` and `residue` with
-both methods on a fixture pair and a Chern-monomial class of degree d-1,
-d or d+1 (d the valence), and compares the sha256 of stdout with a
-recorded digest.  Any change to the JSON these commands print, down to
-the order of terms or the spelling of a rational, fails here.
+Each localization case runs `integrate`, `jk --c`, `jk --sweep --xi` and
+`residue` with both methods on a fixture pair and a Chern-monomial class
+of degree d-1, d or d+1 (d the valence).  Each chamber case runs `betti`,
+`betti --xi` and `jk --sweep` on the unit class without `--xi`, which
+prints the first acyclic chamber's witness as `xi`.  Both compare the
+sha256 of stdout with a recorded digest.  Any change to the JSON these
+commands print, down to the order of terms, the spelling of a rational or
+the witness chosen inside a chamber, fails here.
 """
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import complete_graph
 from gkmcalc.cli import main
-from gkmcalc.cohomology import chern_class
+from gkmcalc.cohomology import chern_class, constant_class
 
 # fixture -> (direction xi, level c for the single-level pushforward)
 CASES = {
@@ -164,3 +168,90 @@ def test_localization_output_is_pinned(request, capsys, tmp_path, fixture):
         pair = pair[0]
     xi, c = CASES[fixture]
     assert _digests(capsys, tmp_path, pair, xi, c) == DIGESTS[fixture]
+
+
+# pair -> a direction off every wall, for `betti --xi`
+CHAMBER_CASES = {
+    "k2": "1",
+    "cp2": "1,2",
+    "gamma4": "1,2,4",
+    "gamma5": "1,3",
+    "cycle4": "1,2",
+    "blowup": "1,2",
+    "prod": "2,3",
+    "k6n3": "1,-2,1",
+}
+
+
+def _chamber_pair(request, name):
+    if name == "k6n3":
+        # 15 wall classes, 162 chambers
+        return complete_graph([(t, t * t, t ** 3) for t in range(1, 7)])
+    value = request.getfixturevalue(name)
+    return value[0] if name == "blowup" else value
+
+
+def _chamber_digests(capsys, tmp_path, pair, xi):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(pair.to_json()))
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(constant_class(pair, 1).to_json()))
+    runs = {
+        "betti": ["betti", str(graph)],
+        "betti-xi": ["betti", str(graph), f"--xi={xi}"],
+        "sweep": ["jk", str(graph), f"--class={unit}", "--sweep"],
+    }
+    return {name: _digest(capsys, argv) for name, argv in runs.items()}
+
+
+# Recorded from the Fourier-Motzkin elimination over Fraction rows, before
+# the integer-row rewrite.
+CHAMBER_DIGESTS = {
+    "blowup": {
+        "betti": "d35288f572bf68236409af9478b9226b8f72cab14b9875ba7ec380ffd01dbe04",
+        "betti-xi": "79d2a54804e5f274a3c1f7d3eee45b628ce3355d6bad41335606e3c18d57b206",
+        "sweep": "8fbc5e80ebc51ed5df62e9075012d66452e8fb76620825002ef19a0c62b67536",
+    },
+    "cp2": {
+        "betti": "ed73b2e919ec6802ddab2f1d2d795ec3efff2b3a35af645a87742dea3b602239",
+        "betti-xi": "303785a5560349c8e03d9b9bd34db10616cb3721f89d720f99b0b594f5fea2bb",
+        "sweep": "7c38b92f247233af2433a2d7480c51c37ed410f8166c02e349ee45b5421f09cb",
+    },
+    "cycle4": {
+        "betti": "5712827555ec067bf7387d9e358b290aea65e7d0a984fe1c7e4bcaf6e8088722",
+        "betti-xi": "26d8134e3e294d679f7ec179d7bfcc9872664ed95e5d3e0d798eda669b68ed73",
+        "sweep": "13c95a22050d16f74b47ae997ddca5df9581af16d315ff8e5fdde2c131e44a32",
+    },
+    "gamma4": {
+        "betti": "a8273956399c4a76adb2d2b82fb44dfcc0a1a09f721e89c269849eab71821b51",
+        "betti-xi": "c2c318e28be8b9c1c7ff042a5fb8864493cbe29841237ac3d08a42ef76a9bcd5",
+        "sweep": "b18efb365c0e8fdf1d13c92fbb582db1b4df9e0b1f8032e972734db72801c5fc",
+    },
+    "gamma5": {
+        "betti": "45ff669f589a9654e62106eea800b32884a56c8e6b047e689c19bfcde9a07c6a",
+        "betti-xi": "e377fd338d5f6fdb60c38a396594f50459cf203a0f6d6a83becf6fd34016b45a",
+        "sweep": "82a3a8ec0e60e6d962bedd329b1966e3b5a2da405a379037a8bb6b9d315d4e63",
+    },
+    "k2": {
+        "betti": "357dbf9b622f1dec1e154e4fe0d80b50ddc4d67cb594a2ae72e1e5353fb95f24",
+        "betti-xi": "48f1c02d6bec5730f56a67732a1fd71bdddabc92d488041d29ed253b6bb311c9",
+        "sweep": "62bcaaeaaa5749412dd6a08eae26b05165827fbfeb4b20a2645afbc243e801ae",
+    },
+    "k6n3": {
+        "betti": "2ea74b63c61a26fa021255a6f2125b511ea7f68f3dbbfb94bdda78019b2d960d",
+        "betti-xi": "6aedb5c1630ef7dd35681e4d0a3b964a9ad15c884b91e714d93af4e69feded64",
+        "sweep": "248a2c915e26d8593fe8da41abba9e35a0e2f45156776e1b80ac7babcbe2a5ae",
+    },
+    "prod": {
+        "betti": "f5f9f214519362d35a991a8dbd5fe1d94f31d5926b7c2d353da5c5d2ee5011e2",
+        "betti-xi": "9610a6652c508b837b36d993a97cc2d14e9ff292a56463328eb10147416a7f6b",
+        "sweep": "f45274831a26f2186b6cd49a1ec022411c1795dc842dd8a9be5cf512a5683fd3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAMBER_CASES))
+def test_chamber_output_is_pinned(request, capsys, tmp_path, name):
+    pair = _chamber_pair(request, name)
+    got = _chamber_digests(capsys, tmp_path, pair, CHAMBER_CASES[name])
+    assert got == CHAMBER_DIGESTS[name]

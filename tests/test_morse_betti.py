@@ -4,8 +4,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from gkmcalc import (
     GkmPair,
@@ -178,9 +180,7 @@ def _all_sign_vectors(classes, n):
     """Reference oracle: try all 2^m sign vectors, each with one feasibility check."""
     found = []
     for signs in itertools.product((1, -1), repeat=len(classes)):
-        rows = [
-            tuple(Fraction(s * c) for c in cls.canonical) for s, cls in zip(signs, classes)
-        ]
+        rows = [tuple(s * c for c in cls.canonical) for s, cls in zip(signs, classes)]
         w = _feasible(rows, n)
         if w is None:
             continue
@@ -403,3 +403,109 @@ def test_equality_report_records_hypothesis_failures():
     assert not out["unique_min_ok"]
     assert out["unique_min_failures"]
     assert out["asserted_equality"] is None
+
+
+# The Fourier-Motzkin elimination over Fraction rows as it stood before
+# integer rows, primitive duplicate merging and parent-witness reuse, kept
+# unchanged as the reference.  Merging positive multiples of a row moves no
+# bound on the eliminated coordinate, so the integer elimination must return
+# the very same witness, and the chamber search the very same list.
+def _fraction_feasible(rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction] | None:
+    """Rational witness for the strict system row . x > 0, or None.
+
+    The last variable is eliminated by combining rows of opposite sign
+    there; a witness for the reduced system is extended by picking the
+    last coordinate strictly between the surviving bounds.
+    """
+    if any(not any(r) for r in rows):
+        return None
+    if n == 0:
+        return []
+    lower = [r for r in rows if r[n - 1] > 0]
+    upper = [r for r in rows if r[n - 1] < 0]
+    reduced: list[tuple[Fraction, ...]] = [tuple(r[: n - 1]) for r in rows if r[n - 1] == 0]
+    for a in lower:
+        for b in upper:
+            reduced.append(
+                tuple(a[i] * -b[n - 1] + b[i] * a[n - 1] for i in range(n - 1))
+            )
+    point = _fraction_feasible(reduced, n - 1)
+    if point is None:
+        return None
+    lo = [-sum(r[i] * point[i] for i in range(n - 1)) / r[n - 1] for r in lower]
+    hi = [-sum(r[i] * point[i] for i in range(n - 1)) / r[n - 1] for r in upper]
+    if lo and hi:
+        a, b = max(lo), min(hi)
+        if a >= b:
+            raise ArithmeticError("feasibility witness collapsed")
+        last = (a + b) / 2
+    elif lo:
+        last = max(lo) + 1
+    elif hi:
+        last = min(hi) - 1
+    else:
+        last = Fraction(1)
+    return point + [last]
+
+
+def _fraction_chambers(classes, n):
+    """Pruned sign search with a Fraction feasibility check at every prefix."""
+    found = []
+
+    def extend(signs, rows):
+        if len(signs) == len(classes):
+            found.append((signs, _fraction_feasible(rows, n)))
+            return
+        for s in (-1, 1):
+            grown = rows + [tuple(Fraction(s * c) for c in classes[len(signs)].canonical)]
+            if _fraction_feasible(grown, n) is not None:
+                extend(signs + (s,), grown)
+
+    extend((), [])
+    return found
+
+
+def _moment_curve(count, n):
+    return complete_graph([tuple(t**k for k in range(1, n + 1)) for t in range(1, count + 1)])
+
+
+MOMENT_CURVES = [(count, 2) for count in range(5, 9)] + [(4, 3), (5, 3)]
+
+
+def test_chamber_witnesses_match_the_fraction_oracle(family):
+    pairs = family + [("cyclic triangle", _cyclic_triangle())] + [
+        (f"K{count} n={n}", _moment_curve(count, n)) for count, n in MOMENT_CURVES
+    ]
+    for name, pair in pairs:
+        classes = _axial_classes(pair)
+        expected = _fraction_chambers(classes, pair.n)
+        assert list(_chamber_search(classes, pair.n)) == expected, name
+        assert _chambers(classes, pair.n) == (expected, "exhaustive"), name
+
+
+@st.composite
+def _systems(draw):
+    """0-7 integer rows in n = 1..4, with repeats, positive multiples and zero rows."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=7))
+    extras = draw(st.lists(st.sampled_from(("repeat", "double", "zero")), max_size=7 - len(rows)))
+    for kind in extras:
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif rows:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "repeat" else tuple(2 * c for c in row))
+    return n, draw(st.permutations(rows))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_feasible_returns_the_fraction_oracle_witness(system):
+    n, rows = system
+    expected = _fraction_feasible([tuple(Fraction(c) for c in r) for r in rows], n)
+    got = _feasible(rows, n)
+    assert got == expected
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+        assert all(sum(c * x for c, x in zip(r, got)) > 0 for r in rows)
