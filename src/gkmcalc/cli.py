@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cohomology import CohClass, coh_basis, is_class
+from .cohomology import CohClass, coh_basis, coh_dim, is_class
 from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
     GkmPair,
@@ -127,13 +127,14 @@ def cmd_cohdim(args):
     gpair = _load_pair(args.graph)
     dims = {}
     for k in range(args.max_degree + 1):
-        dim, classes = coh_basis(gpair, k)
-        dims[str(k)] = dim
         if args.basis:
+            dims[str(k)], classes = coh_basis(gpair, k)
             outdir = Path(args.basis)
             outdir.mkdir(parents=True, exist_ok=True)
             for i, cls in enumerate(classes):
                 _emit(cls, outdir / f"deg{k}_{i}.json")
+        else:
+            dims[str(k)] = coh_dim(gpair, k)
     return dims, True
 
 

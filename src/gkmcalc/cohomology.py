@@ -19,6 +19,7 @@ from .constructions import blow_up
 from .gkm_core import GkmPair, is_compatible_subobject, subpair
 from .polyalg import (
     InputError,
+    LinearForm,
     Monomial,
     Polynomial,
     as_fraction,
@@ -178,40 +179,67 @@ def as_class(pair: GkmPair, values: Mapping[str, Polynomial]) -> CohClass:
     return CohClass(_common_degree(values), dict(values))
 
 
-def compatibility_rows(pair: GkmPair, k: int) -> tuple[list[list[Fraction]], list[Monomial]]:
-    """Linear constraints cutting out the degree-k classes.
+def _reduction_table(form: LinearForm, k: int, mons: list[Monomial]) -> list[list[tuple]]:
+    """Per reduced monomial (graded-lex descending), its (monomial index, coefficient) pairs.
+
+    With c the form's canonical covector, j its pivot and
+    rho = -sum_{i != j} c_i x_i, c_j**k times x**e mod the form is
+    c_j**(k - e_j) * x**e' * rho**e_j, e' being e with e_j = 0.
+    """
+    c, j, n = form.canonical, form.pivot(), form.n
+    rho = {tuple(int(t == i) for t in range(n)): -x for i, x in enumerate(c) if i != j and x}
+    powers = [{(0,) * n: 1}]
+    for _ in range(k):
+        power: dict[Monomial, int] = {}
+        for e1, a in powers[-1].items():
+            for e2, b in rho.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                power[e] = power.get(e, 0) + a * b
+        powers.append(power)
+    by_exp: dict[Monomial, list[tuple[int, int]]] = {}
+    for mi, m in enumerate(mons):
+        scale, rest = c[j] ** (k - m[j]), m[:j] + (0,) + m[j + 1 :]
+        for e, x in powers[m[j]].items():
+            exp = tuple(a + b for a, b in zip(rest, e))
+            by_exp.setdefault(exp, []).append((mi, scale * x))
+    return [by_exp[e] for e in sorted(by_exp, key=grlex_key, reverse=True)]
+
+
+def compatibility_rows(pair: GkmPair, k: int) -> tuple[list[dict[int, int]], list[Monomial]]:
+    """Linear constraints cutting out the degree-k classes, as sparse integer rows.
 
     One unknown per (vertex, degree-k monomial), vertex-major in the order
     of pair.vertices with monomials graded-lex descending; per edge, the
     normal form of f(p) - f(q) modulo the edge form must vanish,
-    contributing one row per reduced monomial.
+    contributing one row ``{column: int}`` per reduced monomial.  Each row
+    is c_j**k times the normal-form row (c the form's primitive canonical
+    covector, j its pivot), so ranks and kernels are those of the normal form.
     """
-    n = pair.n
-    mons = monomials(n, k)
+    mons = monomials(pair.n, k)
     M = len(mons)
-    ncols = len(pair.vertices) * M
     vindex = {v: i for i, v in enumerate(pair.vertices)}
-    rows: list[list[Fraction]] = []
-    reduced_cache: dict[tuple, list[Polynomial]] = {}
+    rows: list[dict[int, int]] = []
+    tables: dict[tuple[int, ...], list[list[tuple]]] = {}
     for p, q in pair.edges:
         form = pair.form(p, q)
-        reduced = reduced_cache.get(form.canonical)
-        if reduced is None:
-            reduced = [reduce_mod_line(Polynomial(n, {m: 1}), form) for m in mons]
-            reduced_cache[form.canonical] = reduced
-        rowmap: dict[Monomial, list[Fraction]] = {}
+        table = tables.get(form.canonical)
+        if table is None:
+            table = tables[form.canonical] = _reduction_table(form, k, mons)
         poff, qoff = vindex[p] * M, vindex[q] * M
-        for mi, rp in enumerate(reduced):
-            for exp, coef in rp.terms():
-                row = rowmap.get(exp)
-                if row is None:
-                    row = [Fraction(0)] * ncols
-                    rowmap[exp] = row
-                row[poff + mi] += coef
-                row[qoff + mi] -= coef
-        for exp in sorted(rowmap, key=grlex_key, reverse=True):
-            rows.append(rowmap[exp])
+        for entries in table:
+            row = {}
+            for mi, coef in entries:
+                row[poff + mi] = coef
+                row[qoff + mi] = -coef
+            rows.append(row)
     return rows, mons
+
+
+def coh_dim(pair: GkmPair, k: int) -> int:
+    """Dimension of the degree-k piece: columns minus the compatibility rank."""
+    rows, mons = compatibility_rows(pair, k)
+    ncols = len(pair.vertices) * len(mons)
+    return ncols - linalg.rank(rows, ncols)
 
 
 def coh_basis(pair: GkmPair, k: int) -> tuple[int, list[CohClass]]:
@@ -374,7 +402,7 @@ def blowup_class_check(base: GkmPair, p0: str, max_k: int = 4) -> dict:
             )
         if vectors and linalg.rank(vectors, len(vectors[0])) != dim_base:
             injective_ok = False
-        dim_sharp, _ = coh_basis(sharp, k)
+        dim_sharp = coh_dim(sharp, k)
         shifted = sum(dims[k - j]["base"] for j in range(1, min(d, k + 1)))
         dims.append({"k": k, "sharp": dim_sharp, "base": dim_base, "shiftedSum": shifted})
 

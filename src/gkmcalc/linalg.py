@@ -7,17 +7,19 @@ Fraction arithmetic enters the inner loop; every stored row is kept
 primitive (coprime entries, positive pivot) so that repeated
 cross-multiplication cannot grow its integers.  One back-substitution pass
 gives the reduced echelon form, which is unique, so ``rref``,
-``kernel_basis`` and ``invert`` are canonical.  Inputs are dense sequences
-of Fractions or ints; outputs are lists of Fractions.
+``kernel_basis`` and ``invert`` are canonical.  An input row is either a
+dense sequence of Fractions or ints, or a sparse mapping ``{column: value}``
+that leaves out zeros; outputs are dense lists of Fractions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
 
-Rows = Sequence[Sequence[Fraction | int]]
+Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
+Rows = Sequence[Row]
 
 
 def _primitive(row: Mapping[int, Fraction | int], lead: int) -> dict[int, int]:
@@ -52,11 +54,16 @@ class RankTracker:
         # pivot column -> primitive integer row, positive at the pivot
         self._rows: dict[int, dict[int, int]] = {}
 
-    def add(self, row: Sequence[Fraction | int]) -> bool:
-        """Reduce ``row`` against the basis; return True if rank grew."""
-        if len(row) != self.ncols:
+    def add(self, row: Row) -> bool:
+        """Reduce a dense or ``{column: value}`` row against the basis; True if rank grew."""
+        if isinstance(row, Mapping):
+            if row and not (0 <= min(row) and max(row) < self.ncols):
+                raise ValueError("row column out of range")
+            r = {c: x for c, x in row.items() if x}
+        elif len(row) != self.ncols:
             raise ValueError("row length mismatch")
-        r = {c: x for c, x in enumerate(row) if x}
+        else:
+            r = {c: x for c, x in enumerate(row) if x}
         if r:
             r = _primitive(r, min(r))
         while r:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Collection, Iterator, Mapping, Sequence
 
 from . import linalg
-from .cohomology import coh_basis, compatibility_rows
+from .cohomology import coh_dim, compatibility_rows
 from .gkm_core import GkmPair, OrientedEdge, subgraph_gamma_h
 from .polyalg import (
     Covector,
@@ -461,13 +461,17 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
         morse_rows.append(
             {"k": k, "lhs": lhs, "rhs": rhs, "ok": ok_k, "equality": lhs == rhs}
         )
+        columns: list[dict[int, int]] = [{} for _ in range(ncols)]
+        for ri, row in enumerate(rows):
+            for c, x in row.items():
+                columns[c][ri] = x
         tracker = linalg.RankTracker(nrows)
         cols = 0
         prev_dim = 0
         for v in order:
             off = vindex[v] * M
             for mi in range(M):
-                tracker.add([rows[ri][off + mi] for ri in range(nrows)])
+                tracker.add(columns[off + mi])
             cols += M
             dim_here = cols - tracker.rank
             gain = dim_here - prev_dim
@@ -492,6 +496,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
             raise ArithmeticError(
                 "filtered dimension at the bottom level disagrees with the row rank"
             )
+        del columns
     return {"betti": beta, "morse": morse_rows, "steps": steps, "ok": overall}
 
 
@@ -556,7 +561,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
     beta = betti(pair, xi)
     table = []
     for k in range(max_k + 1):
-        lhs, _ = coh_basis(pair, k)
+        lhs = coh_dim(pair, k)
         rhs = sum(beta[r] * graded_dim(n, k - r) for r in range(d + 1))
         table.append({"k": k, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
     hypotheses_ok = not indep_failures and not min_failures

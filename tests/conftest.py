@@ -35,6 +35,17 @@ def gamma5():
 
 
 @pytest.fixture(scope="session")
+def k5n3():
+    # moment-curve points in n = 3: ten edges, no two forms parallel
+    return complete_graph([(t, t * t, t ** 3) for t in range(1, 6)])
+
+
+@pytest.fixture(scope="session")
+def k6n2():
+    return complete_graph([(t, t * t) for t in range(1, 7)])
+
+
+@pytest.fixture(scope="session")
 def cycle4():
     return cycle_2valent(4, (1, 0), (0, 1))
 

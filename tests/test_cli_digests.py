@@ -4,10 +4,13 @@ Each localization case runs `integrate`, `jk --c`, `jk --sweep --xi` and
 `residue` with both methods on a fixture pair and a Chern-monomial class
 of degree d-1, d or d+1 (d the valence).  Each chamber case runs `betti`,
 `betti --xi` and `jk --sweep` on the unit class without `--xi`, which
-prints the first acyclic chamber's witness as `xi`.  Both compare the
-sha256 of stdout with a recorded digest.  Any change to the JSON these
-commands print, down to the order of terms, the spelling of a rational or
-the witness chosen inside a chamber, fails here.
+prints the first acyclic chamber's witness as `xi`.  Each ring case runs
+`cohdim`, `cohdim --basis` (hashed over the sorted file names and their
+bytes), `morse --xi` and `morse --xi --l n` up to a fixed degree.  All
+compare the sha256 of stdout with a recorded digest.  Any change to the
+JSON these commands print, down to the order of terms, the spelling of a
+rational, the witness chosen inside a chamber or the scaling of a basis
+class, fails here.
 """
 from __future__ import annotations
 
@@ -255,3 +258,107 @@ def test_chamber_output_is_pinned(request, capsys, tmp_path, name):
     pair = _chamber_pair(request, name)
     got = _chamber_digests(capsys, tmp_path, pair, CHAMBER_CASES[name])
     assert got == CHAMBER_DIGESTS[name]
+
+
+# pair -> (max degree, a direction off every wall for `morse --xi`)
+RING_CASES = {
+    "k2": (5, "1"),
+    "cp2": (5, "1,2"),
+    "gamma4": (4, "1,2,4"),
+    "gamma5": (5, "1,3"),
+    "cycle4": (5, "1,2"),
+    "blowup": (5, "1,2"),
+    "prod": (4, "2,3"),
+    "k5n3": (4, "1,-2,1"),
+    "k6n2": (5, "1,3"),
+}
+
+
+def _ring_pair(request, name):
+    value = request.getfixturevalue(name)
+    return value[0] if name == "blowup" else value
+
+
+def _ring_digests(capsys, tmp_path, pair, k, xi):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(pair.to_json()))
+    out = {
+        "cohdim": _digest(capsys, ["cohdim", str(graph), f"--max-degree={k}"]),
+        "morse": _digest(capsys, ["morse", str(graph), f"--xi={xi}", f"--max-degree={k}"]),
+        "morse-l": _digest(capsys, ["morse", str(graph), f"--xi={xi}", f"--max-degree={k}",
+                                    f"--l={pair.n}"]),
+    }
+    basis = tmp_path / "basis"
+    _digest(capsys, ["cohdim", str(graph), f"--max-degree={k}", f"--basis={basis}"])
+    files = hashlib.sha256()
+    for path in sorted(basis.iterdir()):
+        files.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    out["cohdim-basis"] = files.hexdigest()
+    return out
+
+
+# Recorded from the compatibility system built with reduce_mod_line on
+# Fraction rows, before the integer-row rewrite.
+RING_DIGESTS = {
+    "blowup": {
+        "cohdim": "3f9e6fad11637f97a9ec0ebda73784a5169b90876c295c3be1a4a90cd99f4c78",
+        "cohdim-basis": "a781bd0f73b7753fa0a99d2a42b5f7b7b3000d5bdfa8f087f6a99aae841142b6",
+        "morse": "8f7f4897b0387332800ea7167172d2d7c8cc30e5948cd96054ff0309fe8eb970",
+        "morse-l": "2ce025d541db199c5a5957fdd542fe5739a9a5900bed7054e7383398e8cd133a",
+    },
+    "cp2": {
+        "cohdim": "7e6fdc033996391d0ebb14e576f8ca515c4c6adc15b59b5ba34e2126967868fd",
+        "cohdim-basis": "918d29571df232e03e8a6e28f3876f634905ac34b9bfbb12771566e70a7755aa",
+        "morse": "6c1621bcdbd8e4323bda2db203d4ae2f4a4cf3b65fddc4c0608f93dcdc9aea58",
+        "morse-l": "fb7f0dacc73034a16b4efd388a75dd82c3de641505732a110d45fbb44512df59",
+    },
+    "cycle4": {
+        "cohdim": "3f9e6fad11637f97a9ec0ebda73784a5169b90876c295c3be1a4a90cd99f4c78",
+        "cohdim-basis": "accaaae01d796e35ef39cf9291bf85ddcdc8de057cf751c1f48c8aef63c2efa8",
+        "morse": "9b322fb34a5d470c17353089eae91fb35ebe5968441c2e839ef5f9c0dbdf64c7",
+        "morse-l": "80f02fbe8723cf6d25f163a2333b4f9c33a9b60c19b9843b77b0b280294a9a23",
+    },
+    "gamma4": {
+        "cohdim": "cc025f89d385cefea3bab8c2177c09f343fc7d33dc2728bb0e6ad02a1f685f84",
+        "cohdim-basis": "918ecc787dcf24a40e47ec21dafb5b184929b824fcd0f9c0d7b902add681fd48",
+        "morse": "4fa3607094695bc6792be3cc4afc7ee59831f69b668094fcbd95377bf6672cb3",
+        "morse-l": "a4ef93086aef8e55d533c03667b27937afdbc4f45cc1e117ef87a953da4d93f1",
+    },
+    "gamma5": {
+        "cohdim": "f98a857d932d1e02d4f86988250fc135e3b5343645287ae94c2e6ec0773156d2",
+        "cohdim-basis": "b23c2a5baafade8dfc37986c81e76147eab311967c747486e4befcd1c4b52363",
+        "morse": "51e1a245049acd8b8bf1a1c1e62928e2d7b2d2a2f7ec401931a5331a305d54be",
+        "morse-l": "1aa5294b927ca06b3666700384efb3dff7b6919d15f16d8cfb504f9e626e93e5",
+    },
+    "k2": {
+        "cohdim": "a41fb9a2d3748facbe44472e415a75ba7c391ef2c8ff75f8da9d60e61e4a15b7",
+        "cohdim-basis": "8f8f7f76afcdc7ed1af60691bf135d17f9bba2247b23bf1096aa02db796233fe",
+        "morse": "1d5447d057fb1384df619a2ca3940506c2868ef52f903d88c3bb74c2b5091a17",
+        "morse-l": "a24d4e64e38d639240a0f2c05da9c3baabe0e91ff14bb0f1fb1c040a74f51595",
+    },
+    "k5n3": {
+        "cohdim": "a708f85d7a8bf86b7945a9357c4c157630e484647ae30106a1af2cd011fe4f11",
+        "cohdim-basis": "66ebc9737f51e069c9c25606aef9475863e7a194f625a79626ddb42b3f6b553d",
+        "morse": "9af2eafd9faf9847be68ad1b46e9da67a4b5ff96e3ab21ed7a452d8e33149e16",
+        "morse-l": "44fe8c16952b9acd71791b853c9cd14525bf42f816414d32582190c8721c409c",
+    },
+    "k6n2": {
+        "cohdim": "100bf8db2d189e1d26e58cbcd9498dbe4da888af013fa06122304d2f100ef836",
+        "cohdim-basis": "7e747dac3abe8c887d82c3cf8b221fad6ca9c54260bd7f85004fac49174810b9",
+        "morse": "7ea7c818a4c4c31e8291218d81e91d74b9bcd711295ccfc2ade71cd6943a37e4",
+        "morse-l": "c64429c9e22a9005cddcaa38c0aed68e5c9d4d01426d925628c7349589c5aba0",
+    },
+    "prod": {
+        "cohdim": "55600eb6004d17f742375c7fc06b80519734adeba31d656d01d5a0de0e020a0e",
+        "cohdim-basis": "156ced03325826a7d8b6778348f4cd151a2b464bcc8830b5f6bdca72c462c31a",
+        "morse": "55f62315dc1991580fbae10937d6e993c7c823da4c1d921b024f0341aebcfdcc",
+        "morse-l": "0a8fee5e0d0922e22433e2cc534c0d1ffe85ac6692366f4567d378dec918f08e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_CASES))
+def test_ring_output_is_pinned(request, capsys, tmp_path, name):
+    pair = _ring_pair(request, name)
+    k, xi = RING_CASES[name]
+    assert _ring_digests(capsys, tmp_path, pair, k, xi) == RING_DIGESTS[name]

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, seed, settings, strategies as st
 
 from gkmcalc import coh_basis, chern_class, is_class, is_symplectic
 from gkmcalc.cohomology import (
     CohClass,
+    _reduction_table,
     as_class,
     blowup_class_check,
+    coh_dim,
     compatibility_rows,
     constant_class,
     gysin,
@@ -20,7 +23,14 @@ from gkmcalc.cohomology import (
     zero_class,
 )
 from gkmcalc import linalg
-from gkmcalc.polyalg import Covector, Polynomial, monomials
+from gkmcalc.polyalg import (
+    Covector,
+    LinearForm,
+    Polynomial,
+    grlex_key,
+    monomials,
+    reduce_mod_line,
+)
 
 
 def _oracle_dim(pair, k):
@@ -107,6 +117,7 @@ def test_rank_nullity_of_the_compatibility_system(cp2):
 
 def test_negative_degree_has_no_classes(cp2):
     assert coh_basis(cp2, -1) == (0, [])
+    assert coh_dim(cp2, -1) == 0
 
 
 def test_class_predicate(cp2):
@@ -251,3 +262,85 @@ def test_blowup_ring_audit(cp2):
     assert [row["k"] for row in out["dims"]] == [0, 1, 2, 3, 4]
     for row in out["dims"]:
         assert row["sharp"] >= row["base"]
+
+
+def _normal_form_rows(pair, k):
+    """The compatibility system as built before integer rows: one
+    reduce_mod_line per monomial, dense Fraction rows."""
+    n = pair.n
+    mons = monomials(n, k)
+    M = len(mons)
+    ncols = len(pair.vertices) * M
+    vindex = {v: i for i, v in enumerate(pair.vertices)}
+    rows = []
+    reduced_cache = {}
+    for p, q in pair.edges:
+        form = pair.form(p, q)
+        reduced = reduced_cache.get(form.canonical)
+        if reduced is None:
+            reduced = [reduce_mod_line(Polynomial(n, {m: 1}), form) for m in mons]
+            reduced_cache[form.canonical] = reduced
+        rowmap = {}
+        poff, qoff = vindex[p] * M, vindex[q] * M
+        for mi, rp in enumerate(reduced):
+            for exp, coef in rp.terms():
+                row = rowmap.get(exp)
+                if row is None:
+                    row = [Fraction(0)] * ncols
+                    rowmap[exp] = row
+                row[poff + mi] += coef
+                row[qoff + mi] -= coef
+        for exp in sorted(rowmap, key=grlex_key, reverse=True):
+            rows.append(rowmap[exp])
+    return rows, mons
+
+
+def _ring_pair(request, name):
+    value = request.getfixturevalue(name)
+    return value[0] if name == "blowup" else value
+
+
+RING_PAIRS = ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k5n3", "k6n2"]
+
+
+@pytest.mark.parametrize("name", RING_PAIRS)
+def test_integer_rows_span_the_normal_form_rows(request, name):
+    pair = _ring_pair(request, name)
+    for k in range(6):
+        rows, mons = compatibility_rows(pair, k)
+        frozen, frozen_mons = _normal_form_rows(pair, k)
+        assert mons == frozen_mons
+        assert len(rows) == len(frozen)
+        assert all(isinstance(x, int) for row in rows for x in row.values())
+        ncols = len(pair.vertices) * len(mons)
+        assert linalg.rref(rows, ncols) == linalg.rref(frozen, ncols)
+        dim = coh_dim(pair, k)
+        assert dim == coh_basis(pair, k)[0] == ncols - linalg.rank(frozen, ncols)
+        # the sympy oracle grows slow with the system, so it checks low degrees
+        if k <= {"k5n3": 2, "k6n2": 2}.get(name, 3):
+            assert dim == _oracle_dim(pair, k)
+
+
+@st.composite
+def forms(draw):
+    """Nonzero integer forms, n = 1..4; the table is built from the primitive canonical one."""
+    n = draw(st.integers(1, 4))
+    coords = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any))
+    return LinearForm(Covector(coords))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(forms(), st.integers(0, 4))
+def test_reduction_table_scales_the_normal_form(form, k):
+    n, c = form.n, form.canonical
+    scale = c[form.pivot()] ** k
+    mons = monomials(n, k)
+    by_exp = {}
+    for mi, m in enumerate(mons):
+        for exp, coef in reduce_mod_line(Polynomial(n, {m: 1}), form).terms():
+            by_exp.setdefault(exp, []).append((mi, scale * coef))
+    expected = [by_exp[e] for e in sorted(by_exp, key=grlex_key, reverse=True)]
+    assert _reduction_table(form, k, mons) == expected
+    if n == 1 and k >= 1:
+        assert expected == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 
@@ -80,3 +81,34 @@ def test_invert_matches_sympy(matrix):
         assert inverse is None
     else:
         assert inverse == to_fractions(m.inv())
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+@seed(20261018)
+@property_settings
+@given(matrices())
+def test_sparse_rows_reduce_like_dense_rows(matrix):
+    rows, ncols = matrix
+    dense, mapped = linalg.RankTracker(ncols), linalg.RankTracker(ncols)
+    for row in rows:
+        assert dense.add(row) == mapped.add(sparse(row))
+    assert dense.rank == mapped.rank
+    assert dense.reduced() == mapped.reduced()
+
+    mixed = [sparse(row) if i % 2 else row for i, row in enumerate(rows)]
+    assert linalg.rank(mixed, ncols) == linalg.rank(rows, ncols)
+    assert linalg.kernel_basis(mixed, ncols) == linalg.kernel_basis(rows, ncols)
+
+
+def test_sparse_row_columns_must_lie_in_range():
+    tracker = linalg.RankTracker(3)
+    for bad in ({3: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError):
+            tracker.add(bad)
+    assert tracker.rank == 0
+    assert tracker.add({2: Fraction(1, 2)}) and not tracker.add({})
+    with pytest.raises(ValueError):
+        tracker.add([1, 2])
