@@ -23,9 +23,9 @@ from .polyalg import (
     Monomial,
     Polynomial,
     as_fraction,
+    divides_exactly,
     grlex_key,
     monomials,
-    reduce_mod_line,
 )
 
 
@@ -153,6 +153,8 @@ def is_class(
 ) -> tuple[bool, tuple[str, str] | None]:
     """Edge-compatibility check; returns (ok, first failing edge or None).
 
+    An edge is compatible when its form divides f(p) - f(q) exactly, which
+    is the same as a zero normal form modulo the form (``reduce_mod_line``).
     Values must be homogeneous of a single common degree; mixing degrees
     raises.  A candidate on the wrong vertex set or in the wrong ring is
     unusable input and raises InputError.
@@ -166,7 +168,7 @@ def is_class(
     _common_degree(values)
     for p, q in pair.edges:
         diff = values[p] - values[q]
-        if not reduce_mod_line(diff, pair.form(p, q)).is_zero():
+        if divides_exactly(pair.form(p, q), diff) is None:
             return False, (p, q)
     return True, None
 

@@ -24,10 +24,11 @@ Rows = Sequence[Row]
 
 def _primitive(row: Mapping[int, Fraction | int], lead: int) -> dict[int, int]:
     """Scale a nonzero sparse rational row to coprime integers, positive at ``lead``."""
-    den = lcm(*(x.denominator for x in row.values()))
-    ints = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-    g = gcd(*ints.values()) if ints[lead] > 0 else -gcd(*ints.values())
-    return ints if g == 1 else {c: x // g for c, x in ints.items()}
+    if not all(type(x) is int for x in row.values()):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
 def _eliminate(row: dict[int, int], base: Mapping[int, int], col: int) -> None:
@@ -66,13 +67,16 @@ class RankTracker:
             r = {c: x for c, x in enumerate(row) if x}
         if r:
             r = _primitive(r, min(r))
+        # a row no elimination step touched is still primitive, positive at its pivot
+        eliminated = False
         while r:
             pivot = min(r)
             base = self._rows.get(pivot)
             if base is None:
-                self._rows[pivot] = _primitive(r, pivot)
+                self._rows[pivot] = _primitive(r, pivot) if eliminated else r
                 return True
             _eliminate(r, base, pivot)
+            eliminated = True
         return False
 
     @property

@@ -111,6 +111,16 @@ def cross_section(pair: GkmPair, cut: LevelCut) -> list[OrientedEdge]:
     return out
 
 
+def _kirwan_image(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> Polynomial:
+    """Common projection of f(p) and f(q) along the form of the edge (p, q)."""
+    form = pair.form(p, q)
+    image_p = project_along(f.value(p), form, xi)
+    image_q = project_along(f.value(q), form, xi)
+    if image_p != image_q:
+        raise IntegrityError(f"edge ({p!r}, {q!r}): end values project differently")
+    return image_p
+
+
 def kirwan_map(
     pair: GkmPair, cut: LevelCut, f: CohClass
 ) -> dict[OrientedEdge, Polynomial]:
@@ -119,16 +129,30 @@ def kirwan_map(
     Values are projected into the subring annihilating xi along the edge
     form; the p- and q-side images must agree exactly.
     """
-    cut.validate(pair)
-    out: dict[OrientedEdge, Polynomial] = {}
-    for p, q in cross_section(pair, cut):
-        form = pair.form(p, q)
-        image_p = project_along(f.value(p), form, cut.xi)
-        image_q = project_along(f.value(q), form, cut.xi)
-        if image_p != image_q:
-            raise IntegrityError(f"edge ({p!r}, {q!r}): end values project differently")
-        out[(p, q)] = image_p
-    return out
+    return {(p, q): _kirwan_image(pair, cut.xi, f, p, q) for p, q in cross_section(pair, cut)}
+
+
+def _edge_term(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> LocalizedTerm:
+    """(1/m_e) f(e) over the projected star forms of the upper vertex p of (p, q)."""
+    value = _kirwan_image(pair, xi, f, p, q)
+    alpha_qe = pair.axial_at(q, p)
+    m_e = pairing(alpha_qe, xi)
+    if m_e <= 0:
+        raise IntegrityError(f"edge ({p!r}, {q!r}): lower-end pairing not positive")
+    alpha_pe = pair.axial_at(p, q)
+    m_p = pairing(alpha_pe, xi)
+    sharps = []
+    for r in pair.neighbors(p):
+        if r == q:
+            continue
+        beta = pair.axial_at(p, r)
+        sharp = beta - alpha_pe.scaled(pairing(beta, xi) / m_p)
+        if sharp.is_zero():
+            raise ValueError(
+                f"projected star form vanishes on edge ({p!r}, {q!r}) toward {r!r}"
+            )
+        sharps.append(LinearForm(sharp))
+    return LocalizedTerm(value.scaled(Fraction(1) / m_e), tuple(sharps))
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,7 @@ def jk_pushforward(
     cut: LevelCut,
     f: CohClass,
     _residues: Mapping[str, Polynomial] | None = None,
+    _terms: dict[OrientedEdge, LocalizedTerm] | None = None,
 ) -> JKResult:
     """Cross-section pushforward of f at the cut, checked against residues.
 
@@ -151,29 +176,18 @@ def jk_pushforward(
     then compared with the sum of the residues of f(p) over the stars of
     the vertices below the cut, and any disagreement raises IntegrityError.
     Precomputed per-vertex residues may be passed to avoid recomputation.
+    A term depends only on its oriented edge, f and xi, not on the level,
+    so cuts that share f and xi (the levels of one sweep) may share one
+    ``_terms`` memo, filled here the first time an edge crosses a cut.
     """
     d = pair.valence
-    kir = kirwan_map(pair, cut, f)
+    memo = {} if _terms is None else _terms
     terms = []
-    for (p, q), value in kir.items():
-        alpha_qe = pair.axial_at(q, p)
-        m_e = pairing(alpha_qe, cut.xi)
-        if m_e <= 0:
-            raise IntegrityError(f"edge ({p!r}, {q!r}): lower-end pairing not positive")
-        alpha_pe = pair.axial_at(p, q)
-        m_p = pairing(alpha_pe, cut.xi)
-        sharps = []
-        for r in pair.neighbors(p):
-            if r == q:
-                continue
-            beta = pair.axial_at(p, r)
-            sharp = beta - alpha_pe.scaled(pairing(beta, cut.xi) / m_p)
-            if sharp.is_zero():
-                raise ValueError(
-                    f"projected star form vanishes on edge ({p!r}, {q!r}) toward {r!r}"
-                )
-            sharps.append(LinearForm(sharp))
-        terms.append(LocalizedTerm(value.scaled(Fraction(1) / m_e), tuple(sharps)))
+    for p, q in cross_section(pair, cut):
+        term = memo.get((p, q))
+        if term is None:
+            term = memo[(p, q)] = _edge_term(pair, cut.xi, f, p, q)
+        terms.append(term)
     numerator, denominators = simplify(LocalizedSum(pair.n, tuple(terms)))
     if denominators:
         raise NonPolynomialResultError(
@@ -222,8 +236,9 @@ def wall_crossing_step(
     if len(between) != 1:
         raise ValueError(f"expected exactly one vertex between the levels, got {between}")
     p_r = between[0]
-    hi = jk_pushforward(pair, cut_hi, f).polynomial
-    lo = jk_pushforward(pair, cut_lo, f).polynomial
+    terms: dict[OrientedEdge, LocalizedTerm] = {}
+    hi = jk_pushforward(pair, cut_hi, f, _terms=terms).polynomial
+    lo = jk_pushforward(pair, cut_lo, f, _terms=terms).polynomial
     diff = hi - lo
     alphas = [pair.axial_at(p_r, q) for q in pair.neighbors(p_r)]
     expected = residue(f.value(p_r), alphas, cut_hi.xi, method="series")
@@ -253,10 +268,11 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
         alphas = [pair.axial_at(p, q) for q in pair.neighbors(p)]
         residues[p] = residue(f.value(p), alphas, xi, method="series")
 
+    terms: dict[OrientedEdge, LocalizedTerm] = {}
     results = []
     for c in levels:
         cut = LevelCut(xi, phi, c)
-        results.append(jk_pushforward(pair, cut, f, _residues=residues))
+        results.append(jk_pushforward(pair, cut, f, _residues=residues, _terms=terms))
 
     steps_ok = True
     for i, p in enumerate(ordered):

@@ -555,30 +555,41 @@ def reduce_mod_line(f: Polynomial, form: LinearForm) -> Polynomial:
 
 
 def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
-    """Quotient f / form when the division is exact, else None."""
+    """Quotient f / form when the division is exact, else None.
+
+    Synthetic division on integer numerators: with c the canonical
+    covector, j its pivot and K the degree of f in x_j, the numerators are
+    lifted by c_j**K so that, walking the x_j-levels from K down to 1, each
+    surviving term a*x**e gives the quotient term (a / c_j)*x**(e - e_j) as
+    an exact int division and sends -(a / c_j)*c_i*x**(e - e_j + e_i) to
+    the level below for every other nonzero c_i.  A nonzero remainder at
+    level 0 means the form does not divide f.
+    """
     if f.n != form.n:
         raise ValueError("ring dimension mismatch")
     if f.is_zero():
         return Polynomial.zero(f.n)
-    j = form.pivot()
-    cj = Fraction(form.canonical[j])
-    line = form.canonical_polynomial()
-    quotient = Polynomial.zero(f.n)
-    remainder = f
-    while True:
-        parts = remainder.split_by_variable(j)
-        top = max(parts) if parts else 0
-        if top == 0:
-            break
-        lead = parts[top]
-        exp = tuple(top - 1 if t == j else 0 for t in range(f.n))
-        shift = Polynomial(f.n, {exp: 1})
-        piece = lead.scaled(1 / cj) * shift
-        quotient = quotient + piece
-        remainder = remainder - line * piece
-    if not remainder.is_zero():
+    c, j = form.canonical, form.pivot()
+    cj = c[j]
+    others = [(i, ci) for i, ci in enumerate(c) if ci and i != j]
+    levels = _split(f._terms, j)
+    top = max(levels)
+    lift = cj**top
+    levels = {r: {e: a * lift for e, a in t.items()} for r, t in levels.items()}
+    quotient: dict[Monomial, int] = {}
+    for r in range(top, 0, -1):
+        below = levels.setdefault(r - 1, {})
+        for e, a in levels[r].items():
+            if not a:
+                continue
+            b = a // cj
+            quotient[e[:j] + (r - 1,) + e[j + 1 :]] = b
+            for i, ci in others:
+                key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                below[key] = below.get(key, 0) - b * ci
+    if any(levels[0].values()):
         return None
-    return quotient.scaled(1 / form.scale)
+    return Polynomial._raw(f.n, quotient).scaled(1 / (f._den * lift * form.scale))
 
 
 def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:

@@ -13,11 +13,13 @@ from gkmcalc import (
     Vector,
     chern_class,
     coh_basis,
+    complete_graph,
     full_sweep,
     integrate,
     jk_pushforward,
     residue,
 )
+from gkmcalc import localization
 from gkmcalc.cohomology import CohClass, constant_class, thom_class_vertex
 from gkmcalc.localization import (
     cross_section,
@@ -73,6 +75,12 @@ def test_non_class_input_fails_loudly(cp2):
     )
     with pytest.raises(NonPolynomialResultError):
         integrate(cp2, fake)
+    xi = Vector((1, 2))
+    cut = LevelCut(xi, positively_oriented_function(cp2, xi), Fraction(-1, 2))
+    with pytest.raises(IntegrityError, match="end values project differently"):
+        kirwan_map(cp2, cut, fake)
+    with pytest.raises(IntegrityError, match="end values project differently"):
+        jk_pushforward(cp2, cut, fake)
 
 
 def test_level_cut_validation(cp2):
@@ -186,3 +194,41 @@ def test_thom_classes_integrate_to_one(family):
         for p in pair.vertices:
             out = integrate(pair, thom_class_vertex(pair, p))
             assert out == Polynomial.constant(pair.n, 1), (name, p)
+
+
+# --- one Kirwan term per edge per sweep ---------------------------------------
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    real = localization.project_along
+
+    def counted(f, form, xi):
+        calls.append(1)
+        return real(f, form, xi)
+
+    monkeypatch.setattr(localization, "project_along", counted)
+    return calls
+
+
+def test_full_sweep_projects_each_edge_once(family, monkeypatch):
+    k7 = complete_graph([(t, t * t) for t in range(1, 8)])
+    k6 = complete_graph([(t, t * t, t**3) for t in range(1, 7)])
+    calls = _count_projections(monkeypatch)
+    for name, pair in family + [("k7n2", k7), ("k6n3", k6)]:
+        calls.clear()
+        full_sweep(pair, find_acyclic_xi(pair), chern_class(pair, 1))
+        assert len(calls) == 2 * len(pair.edges), name
+
+
+def test_wall_crossing_step_projects_each_edge_once(gamma5, monkeypatch):
+    xi = find_acyclic_xi(gamma5)
+    phi = positively_oriented_function(gamma5, xi)
+    levels = sorted(phi.values())
+    hi = LevelCut(xi, phi, (levels[2] + levels[3]) / 2)
+    lo = LevelCut(xi, phi, (levels[1] + levels[2]) / 2)
+    edges = set(cross_section(gamma5, hi)) | set(cross_section(gamma5, lo))
+    calls = _count_projections(monkeypatch)
+    wall_crossing_step(gamma5, hi, lo, chern_class(gamma5, 2))
+    assert len(calls) == 2 * len(edges)
+

@@ -1,4 +1,4 @@
-"""Ring laws, term order, linear forms, and the residue engine."""
+"""Ring laws, term order, linear forms, exact division, and the residue engine."""
 from __future__ import annotations
 
 import math
@@ -9,6 +9,8 @@ import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 
+from gkmcalc import chern_class, is_class
+from gkmcalc.cohomology import thom_class_vertex
 from gkmcalc.polyalg import (
     Covector,
     LinearForm,
@@ -445,3 +447,129 @@ def test_zero_polynomial_and_the_empty_ring():
     assert (a**3).coefficient(()) == Fraction(-27, 64)
     assert a.substitute({}) == a and a.evaluate(()) == Fraction(-3, 4)
     assert Polynomial.from_json(a.to_json()) == a
+
+
+# --- exact division against the frozen long division -------------------------
+
+
+def _long_division_oracle(form, f):
+    """The former divides_exactly, kept verbatim as an oracle.
+
+    One long-division step per power of the pivot variable, each step a
+    handful of Polynomial operations on the canonical line.
+    """
+    if f.n != form.n:
+        raise ValueError("ring dimension mismatch")
+    if f.is_zero():
+        return Polynomial.zero(f.n)
+    j = form.pivot()
+    cj = Fraction(form.canonical[j])
+    line = form.canonical_polynomial()
+    quotient = Polynomial.zero(f.n)
+    remainder = f
+    while True:
+        parts = remainder.split_by_variable(j)
+        top = max(parts) if parts else 0
+        if top == 0:
+            break
+        lead = parts[top]
+        exp = tuple(top - 1 if t == j else 0 for t in range(f.n))
+        shift = Polynomial(f.n, {exp: 1})
+        piece = lead.scaled(1 / cj) * shift
+        quotient = quotient + piece
+        remainder = remainder - line * piece
+    if not remainder.is_zero():
+        return None
+    return quotient.scaled(1 / form.scale)
+
+
+@st.composite
+def divisions(draw):
+    """A form in n = 1..4 variables and f: a multiple, a perturbed multiple, anything, or 0."""
+    n = draw(st.integers(1, 4))
+    cov = draw(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n, max_size=n).filter(any))
+    form = LinearForm(Covector(cov))
+    # total degree 0..5: the exponent tuple counts a list of at most five variable indices
+    exps = st.lists(st.integers(0, n - 1), max_size=5).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
+    polys = st.dictionaries(exps, coefs, max_size=5).map(lambda d: Polynomial(n, d))
+    g, h = draw(polys), draw(polys)
+    kind = draw(st.sampled_from(("multiple", "perturbed", "any", "zero")))
+    f = {
+        "multiple": form.polynomial() * g,
+        "perturbed": form.polynomial() * g + h,
+        "any": g,
+        "zero": Polynomial.zero(n),
+    }[kind]
+    return form, f, g if kind == "multiple" else None
+
+
+def _assert_same_division(form, f):
+    got, want = divides_exactly(form, f), _long_division_oracle(form, f)
+    assert (got is None) == (want is None), (form, f)
+    if want is not None:
+        assert got == want and got.to_json() == want.to_json()
+    return got
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(divisions())
+def test_divides_exactly_matches_long_division(case):
+    form, f, g = case
+    got = _assert_same_division(form, f)
+    if g is not None:
+        assert got == g
+
+
+def test_divides_exactly_on_pivots_scales_and_one_variable():
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    # negative pivot coefficient: canonical (1, 0, -3), c_j = -3
+    neg = LinearForm(Covector((2, 0, -6)))
+    assert neg.canonical == (1, 0, -3) and neg.scale == 2
+    g = x * x + y * z.scaled(Fraction(5, 7))
+    assert _assert_same_division(neg, neg.polynomial() * g) == g
+    assert _assert_same_division(neg, g) is None
+    # rational scale: (1/2, -3/4) = (1/4) * (2, -3)
+    half = LinearForm(Covector((Fraction(1, 2), Fraction(-3, 4))))
+    assert half.scale == Fraction(1, 4)
+    u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    g2 = (u - v.scaled(4)) * u.scaled(Fraction(1, 3))
+    assert _assert_same_division(half, half.polynomial() * g2) == g2
+    # the level coefficients are not multiples of c_j = 2 until lifted by c_j**K
+    wide = LinearForm(Covector((1, 2)))
+    for f in (v, v * v, u * v + v * v, v**3 + u):
+        assert _assert_same_division(wide, f) is None
+    assert _assert_same_division(wide, (u + v.scaled(2)) * v * v) == v * v
+    # n = 1: every form is a multiple of x0
+    t = Polynomial.variable(1, 0)
+    one = LinearForm(Covector((Fraction(-5, 3),)))
+    assert _assert_same_division(one, t**4) == (t**3).scaled(Fraction(-3, 5))
+    assert _assert_same_division(one, Polynomial.constant(1, 2)) is None
+
+
+def _normal_form_oracle(pair, values):
+    """is_class as it was: the first edge whose difference has a nonzero normal form."""
+    for p, q in pair.edges:
+        if not reduce_mod_line(values[p] - values[q], pair.form(p, q)).is_zero():
+            return False, (p, q)
+    return True, None
+
+
+def test_is_class_matches_the_normal_form_oracle(family):
+    rng = random.Random(20261018)
+    for name, pair in family:
+        c1 = chern_class(pair, 1)
+        classes = [chern_class(pair, k) for k in range(1, pair.valence + 1)] + [c1 * c1]
+        classes += [thom_class_vertex(pair, p) for p in pair.vertices]
+        for cls in classes:
+            assert is_class(pair, cls.values) == (True, None), name
+            for _ in range(3):
+                # add one monomial of the class's degree at one vertex
+                idx = [rng.randrange(pair.n) for _ in range(cls.degree)]
+                exp = tuple(idx.count(i) for i in range(pair.n))
+                coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                values = dict(cls.values)
+                p = rng.choice(pair.vertices)
+                values[p] = values[p] + Polynomial(pair.n, {exp: coef})
+                assert is_class(pair, values) == _normal_form_oracle(pair, values), name
