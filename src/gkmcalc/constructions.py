@@ -240,11 +240,9 @@ def cycle_2valent(N: int, a1: Covector | Iterable, a2: Covector | Iterable) -> G
         axial[(p, q)] = seq[i]
 
     def wedge(u: Covector, v: Covector) -> tuple:
-        n = u.n
+        a, b = u.coords, v.coords
         return tuple(
-            u.coords[r] * v.coords[s] - u.coords[s] * v.coords[r]
-            for r in range(n)
-            for s in range(r + 1, n)
+            a[r] * b[s] - a[s] * b[r] for r in range(len(a)) for s in range(r + 1, len(a))
         )
 
     first = wedge(seq[1], seq[0])

@@ -22,10 +22,9 @@ from .polyalg import (
     Covector,
     InputError,
     LinearForm,
-    Polynomial,
     Vector,
     pair as pairing,
-    reduce_mod_line,
+    reduce_covector_mod_line,
 )
 
 OrientedEdge = tuple[str, str]
@@ -384,11 +383,8 @@ def _structural_connection(pair: GkmPair, connection) -> ConnectionMap:
 # --- axiom validation ----------------------------------------------------
 
 
-def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> list[tuple[str, Polynomial]]:
-    return [
-        (r, reduce_mod_line(Polynomial.from_covector(pair.axial_at(p, r)), form))
-        for r in pair.neighbors(p)
-    ]
+def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> list[tuple[str, Covector]]:
+    return [(r, reduce_covector_mod_line(pair.axial_at(p, r), form)) for r in pair.neighbors(p)]
 
 
 def _perfect_matching(adjacent: list[list[int]], nright: int) -> list[int] | None:
@@ -417,8 +413,9 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
     Violations are reported, never raised, so deliberately broken inputs can
     be inspected.  The residue-matching check ("1.18") asks for a perfect
     matching between the two stars of each edge under agreement of normal
-    forms modulo the edge form; it is skipped for edges whose end degrees
-    already differ, since the valence report covers those.
+    forms modulo the edge form, computed on the covectors themselves; it is
+    skipped for edges whose end degrees already differ, since the valence
+    report covers those.
     """
     violations: list[Violation] = []
     degs = pair.degrees()
@@ -500,8 +497,8 @@ def validate_connection(pair: GkmPair, connection) -> ValidationReport:
         for r, s in m.items():
             if back.get(s) != r:
                 violations.append(Violation("1.33", {"edge": [p, q], "maps": [r, s]}))
-            lhs = reduce_mod_line(Polynomial.from_covector(pair.axial_at(p, r)), form)
-            rhs = reduce_mod_line(Polynomial.from_covector(pair.axial_at(q, s)), form)
+            lhs = reduce_covector_mod_line(pair.axial_at(p, r), form)
+            rhs = reduce_covector_mod_line(pair.axial_at(q, s), form)
             if lhs != rhs:
                 violations.append(Violation("1.34", {"edge": [p, q], "maps": [r, s]}))
     degs = set(pair.degrees().values())

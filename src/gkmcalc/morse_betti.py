@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, Sequence
@@ -55,16 +56,18 @@ def orient(pair: GkmPair, xi) -> Orientation:
     """Orient every edge by the sign of its covector on xi.
 
     Directions on a wall (some incidence evaluating to zero) are rejected
-    with the offending incidence named.
+    with the offending incidence named.  Both denominators are positive, so
+    the sign of a pairing is the sign of its integer numerator.
     """
     vec = xi if isinstance(xi, Vector) else Vector(xi)
     if vec.n != pair.n:
         raise ValueError(f"xi has {vec.n} coordinates, expected {pair.n}")
+    xs = vec._num
     sigma = {v: 0 for v in pair.vertices}
     directed: list[OrientedEdge] = []
     for p, q in pair.edges:
-        vp = pairing(pair.axial_at(p, q), vec)
-        vq = pairing(pair.axial_at(q, p), vec)
+        vp = sum(map(operator.mul, pair.axial_at(p, q)._num, xs))
+        vq = sum(map(operator.mul, pair.axial_at(q, p)._num, xs))
         if vp == 0 or vq == 0:
             a, b = (p, q) if vp == 0 else (q, p)
             raise ValueError(f"xi lies on a wall: alpha[{a}->{b}](xi) = 0")

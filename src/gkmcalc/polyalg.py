@@ -9,10 +9,14 @@ graded-lexicographic order (total degree first, then the exponent tuple),
 largest first.
 
 A covector is a linear functional on the acting torus's Lie algebra,
-written in coordinates; a vector lives in the algebra itself.  A
+written in coordinates; a vector lives in the algebra itself.  Both are
+stored like polynomials, as integer numerators over one positive
+denominator in lowest terms, and hand out ``Fraction``s.  A
 ``LinearForm`` couples a nonzero covector with its canonical primitive
 integer representative (first nonzero coordinate positive), which is how
-parallelism of denominators is detected exactly.
+parallelism of denominators is detected exactly.  Normal forms modulo a
+form are taken on polynomials, and on covectors directly when the
+argument is itself linear.
 
 The residue of ``f / prod(alpha_i)`` along a direction ``xi`` is
 implemented twice, by a truncated geometric-series expansion and by a
@@ -70,46 +74,79 @@ def grlex_key(exp: Monomial) -> tuple[int, Monomial]:
 
 
 class _Coords:
-    """Immutable tuple of exact rational coordinates with linear arithmetic."""
+    """Immutable exact rational coordinates with linear arithmetic.
 
-    __slots__ = ("coords",)
+    Stored like ``Polynomial``: ``_num`` is a tuple of integer numerators
+    over one positive denominator ``_den``, in lowest terms (the zero tuple
+    has denominator 1), so structural equality is mathematical equality.
+    ``coords``, indexing and iteration hand out ``Fraction``s.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coords: Iterable[int | str | Fraction]):
-        self.coords = tuple(as_fraction(c) for c in coords)
+        qs = [as_fraction(c) for c in coords]
+        # cleared to the lcm of their denominators, reduced fractions stay in lowest terms
+        den = math.lcm(*(q.denominator for q in qs))
+        self._num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self._den = den
+
+    @classmethod
+    def _raw(cls, num: tuple[int, ...], den: int = 1):
+        """Wrap integer numerators over a nonzero den, reduced to lowest terms."""
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        out = object.__new__(cls)
+        out._num = num if g == 1 else tuple(a // g for a in num)
+        out._den = den // g
+        return out
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self._num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
+        return Fraction(self._num[i], self._den)
 
     def __iter__(self):
         return iter(self.coords)
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coords == other.coords
+        return type(self) is type(other) and (self._num, self._den) == (other._num, other._den)
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, self._num, self._den))
+
+    def _add_scaled(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        self._check(other)
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, sign * d1 // g
+        num = tuple(a * f1 + b * f2 for a, b in zip(self._num, other._num))
+        return self._raw(num, d1 * f1)
 
     def __add__(self, other):
-        self._check(other)
-        return type(self)(a + b for a, b in zip(self.coords, other.coords))
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return type(self)(a - b for a, b in zip(self.coords, other.coords))
+        return self._add_scaled(other, -1)
 
     def __neg__(self):
-        return type(self)(-a for a in self.coords)
+        return self._raw(tuple(-a for a in self._num), self._den)
 
     def scaled(self, q: int | Fraction) -> "_Coords":
-        q = as_fraction(q)
-        return type(self)(q * a for a in self.coords)
+        if type(q) is not int:
+            q = as_fraction(q)
+        a = q.numerator
+        return self._raw(tuple(a * c for c in self._num), self._den * q.denominator)
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:
@@ -131,7 +168,7 @@ def pair(cov: Covector, vec: Vector) -> Fraction:
     """Natural pairing <covector, vector>."""
     if cov.n != vec.n:
         raise TypeError("dimension mismatch in pairing")
-    return sum((a * b for a, b in zip(cov.coords, vec.coords)), Fraction(0))
+    return Fraction(sum(map(operator.mul, cov._num, vec._num)), cov._den * vec._den)
 
 
 def _split(terms: dict[Monomial, int], j: int) -> dict[int, dict[Monomial, int]]:
@@ -207,11 +244,8 @@ class Polynomial:
     @classmethod
     def from_covector(cls, cov: Covector) -> "Polynomial":
         n = cov.n
-        terms = {}
-        for i, c in enumerate(cov.coords):
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return cls(n, terms)
+        terms = {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(cov._num) if a}
+        return cls._raw(n, terms, cov._den)
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
@@ -459,11 +493,10 @@ class LinearForm:
         if covector.is_zero():
             raise ValueError("linear form must be nonzero")
         self.covector = covector
-        nonzero = {i: c for i, c in enumerate(covector.coords) if c}
-        i0 = min(nonzero)
-        ints = linalg._primitive(nonzero, i0)
-        self.canonical = tuple(ints.get(i, 0) for i in range(covector.n))
-        self.scale = covector.coords[i0] / ints[i0]
+        num = covector._num
+        g = math.gcd(*num) if next(a for a in num if a) > 0 else -math.gcd(*num)
+        self.canonical = tuple(a // g for a in num)
+        self.scale = Fraction(g, covector._den)
 
     @property
     def n(self) -> int:
@@ -476,7 +509,7 @@ class LinearForm:
         return Polynomial.from_covector(self.covector)
 
     def canonical_covector(self) -> Covector:
-        return Covector(self.canonical)
+        return Covector._raw(self.canonical)
 
     def canonical_polynomial(self) -> Polynomial:
         return Polynomial.from_covector(self.canonical_covector())
@@ -554,6 +587,19 @@ def reduce_mod_line(f: Polynomial, form: LinearForm) -> Polynomial:
     return out
 
 
+def reduce_covector_mod_line(cov: Covector, form: LinearForm) -> Covector:
+    """``reduce_mod_line`` of a linear form, as a covector.
+
+    With c the canonical covector and j its pivot, coordinate i becomes
+    a_i - a_j * c_i / c_j, so coordinate j becomes 0.
+    """
+    if cov.n != form.n:
+        raise ValueError("ring dimension mismatch")
+    c, j = form.canonical, form.pivot()
+    cj, aj = c[j], cov._num[j]
+    return Covector._raw(tuple(cj * a - aj * ci for a, ci in zip(cov._num, c)), cov._den * cj)
+
+
 def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
     """Quotient f / form when the division is exact, else None.
 
@@ -604,11 +650,10 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
         raise ValueError("form vanishes on xi; projection undefined")
     alpha = form.polynomial()
     images = {}
-    for k in range(f.n):
-        xk = Polynomial.variable(f.n, k)
-        coef = xi.coords[k] / m
-        if coef:
-            images[k] = xk - alpha.scaled(coef)
+    for k, a in enumerate(xi._num):
+        if a:
+            coef = Fraction(a, xi._den) / m
+            images[k] = Polynomial.variable(f.n, k) - alpha.scaled(coef)
     return f.substitute(images)
 
 
@@ -666,7 +711,7 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
         for form in term.denominators:
             key = form.canonical
             if key not in canon_forms:
-                canon_forms[key] = LinearForm(Covector(key))
+                canon_forms[key] = LinearForm(form.canonical_covector())
             mult[key] = mult.get(key, 0) + 1
             scale *= form.scale
         cleaned.append((num.scaled(1 / scale), mult))
@@ -676,13 +721,13 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
     for _, mult in cleaned:
         for key, m in mult.items():
             lcd[key] = max(lcd.get(key, 0), m)
+    lines = {key: canon_forms[key].canonical_polynomial() for key in lcd}
     numerator = Polynomial.zero(n)
     for num, mult in cleaned:
         piece = num
         for key, m in lcd.items():
-            extra = m - mult.get(key, 0)
-            for _ in range(extra):
-                piece = piece * canon_forms[key].canonical_polynomial()
+            for _ in range(m - mult.get(key, 0)):
+                piece = piece * lines[key]
         numerator = numerator + piece
     remaining: dict[Monomial, int] = {k: m for k, m in lcd.items() if m}
     for key in sorted(remaining):
@@ -718,17 +763,18 @@ def _canonical_residue_basis(xi: Vector) -> tuple[Covector, list[Covector]]:
     where xi is nonzero; the y's are the remaining coordinate covectors
     corrected to kill xi.
     """
-    j = next((i for i, c in enumerate(xi.coords) if c), None)
+    coords = xi.coords
+    j = next((i for i, c in enumerate(coords) if c), None)
     if j is None:
         raise ValueError("xi must be nonzero")
     n = xi.n
-    x = Covector(tuple(Fraction(1, 1) / xi.coords[j] if i == j else Fraction(0) for i in range(n)))
+    x = Covector(tuple(1 / coords[j] if i == j else 0 for i in range(n)))
     ys = []
     for k in range(n):
         if k == j:
             continue
-        ek = Covector(tuple(Fraction(int(i == k)) for i in range(n)))
-        ys.append(ek - x.scaled(xi.coords[k]))
+        ek = Covector(tuple(int(i == k) for i in range(n)))
+        ys.append(ek - x.scaled(coords[k]))
     return x, ys
 
 
@@ -762,8 +808,7 @@ def _residue_series(
         x, ys = _canonical_residue_basis(xi)
     else:
         x, ys = _validate_residue_basis(xi, basis)
-    cols = [x] + ys
-    matrix = [[cols[b].coords[i] for b in range(n)] for i in range(n)]
+    matrix = [list(col) for col in zip(*(c.coords for c in [x] + ys))]
     inverse = linalg.invert(matrix)
     if inverse is None:
         raise ValueError("residue basis is singular")
@@ -786,8 +831,8 @@ def _residue_series(
         alpha = form.covector
         m = pair(alpha, xi)
         coords = [
-            sum((inverse[b][k] * alpha.coords[k] for k in range(n)), Fraction(0))
-            for b in range(n)
+            sum((r * a for r, a in zip(row, alpha._num) if a), Fraction(0)) / alpha._den
+            for row in inverse
         ]
         ms.append(m)
         beta_terms = {}

@@ -1,6 +1,8 @@
 """Axiom validation, connection inference, and graph surgery."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from gkmcalc import (
@@ -8,17 +10,21 @@ from gkmcalc import (
     GkmPair,
     GraphFormatError,
     NoConnection,
+    blow_up,
+    complete_graph,
     infer_connection,
+    product,
     validate_axial,
     validate_connection,
 )
+from gkmcalc import gkm_core
 from gkmcalc.gkm_core import (
     is_totally_geodesic,
     relabel,
     subgraph_gamma_h,
     subpair,
 )
-from gkmcalc.polyalg import Covector
+from gkmcalc.polyalg import Covector, Polynomial, reduce_mod_line
 
 
 def _axioms(report):
@@ -215,3 +221,82 @@ def test_totally_geodesic_detection(cp2):
         cp2, cp2.connection, ["1", "2", "3"], [("1", "2"), ("2", "3")]
     )
     assert not bad and none is None
+
+
+# --- normal forms on covectors against the polynomial normal form -------------
+
+
+def _scaled_copy(pair, edge, q, both=True):
+    """The pair with one edge's covector scaled by q (also the reverse when both)."""
+    p, r = edge
+    axial = dict(pair.axial)
+    axial[(p, r)] = axial[(p, r)].scaled(q)
+    if both:
+        axial[(r, p)] = axial[(r, p)].scaled(q)
+    return GkmPair(pair.n, pair.vertices, pair.edges, axial, pair.connection)
+
+
+def _swapped_connection(pair, edge):
+    """The pair's connection with two targets of one oriented edge's map swapped."""
+    conn = {e: dict(m) for e, m in pair.connection.items()}
+    m = conn[edge]
+    a, b = sorted(m)[:2]
+    m[a], m[b] = m[b], m[a]
+    return conn
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (AmbiguousConnection, NoConnection, ValueError) as exc:
+        return type(exc), str(exc)
+    return result.maps if hasattr(result, "maps") else result.to_json()
+
+
+def _axiom_outcomes(cases):
+    out = []
+    for name, pair, conns in cases:
+        out.append((name, "axial", _outcome(validate_axial, pair)))
+        out.append((name, "infer", _outcome(infer_connection, pair)))
+        for conn in conns:
+            out.append((name, "connection", _outcome(validate_connection, pair, conn)))
+    return out
+
+
+def test_axiom_checks_match_the_polynomial_normal_form(family, cp2, gamma4, cycle4, monkeypatch):
+    seg = relabel(complete_graph([(0, 0), (1, 1)]), {"1": "a", "2": "b"})
+    extra = [
+        ("cycle4xseg", product(cycle4, seg)[0]),
+        ("gamma4#1", blow_up(gamma4, "1")[0]),
+        ("k4n3", complete_graph([(0, 0, 0), (1, 2, 0), ("1/2", 3, 1), (2, -1, "5/3")])),
+    ]
+    cases = []
+    for name, pair in family + extra:
+        conns = [pair.connection]
+        if pair.valence >= 2:
+            conns.append(_swapped_connection(pair, pair.oriented_edges()[0]))
+        cases.append((name, pair, conns))
+        edge = pair.edges[len(pair.edges) // 2]
+        for q, both in ((Fraction(3, 2), True), (Fraction(-2, 5), True), (Fraction(7, 3), False)):
+            cases.append((f"{name}*{q}{both}", _scaled_copy(pair, edge, q, both), conns))
+    broken = [
+        ("mismatch", _square_with_residue_mismatch(), []),
+        ("cp2-corrupt", cp2, [{**cp2.connection.maps, ("1", "2"): {"2": "3", "3": "1"}}]),
+    ]
+    shipped = _axiom_outcomes(cases + broken)
+    monkeypatch.setattr(
+        gkm_core,
+        "reduce_covector_mod_line",
+        lambda cov, form: reduce_mod_line(Polynomial.from_covector(cov), form),
+    )
+    assert _axiom_outcomes(cases + broken) == shipped
+    # the comparison covers passing and failing checks and both exception types
+    kinds = {o[0] if isinstance(o, tuple) else "ok" for _, _, o in shipped}
+    assert {"ok", AmbiguousConnection, NoConnection} <= kinds
+    flagged = {
+        v["axiom"]
+        for _, check, o in shipped
+        if check != "infer" and isinstance(o, dict)
+        for v in o["violations"]
+    }
+    assert {"1.16", "1.18", "1.32", "1.33", "1.34"} <= flagged

@@ -509,3 +509,59 @@ def test_feasible_returns_the_fraction_oracle_witness(system):
     if got is not None:
         assert all(type(x) is Fraction for x in got)
         assert all(sum(c * x for c, x in zip(r, got)) > 0 for r in rows)
+
+
+# --- orientation signs against Fraction pairings --------------------------------
+
+
+def _orient_oracle(pair, xi):
+    """orient as it was: each incidence's sign from its Fraction pairing with xi."""
+    sigma = {v: 0 for v in pair.vertices}
+    directed = []
+    for p, q in pair.edges:
+        vp = sum((a * b for a, b in zip(pair.axial_at(p, q).coords, xi.coords)), Fraction(0))
+        vq = sum((a * b for a, b in zip(pair.axial_at(q, p).coords, xi.coords)), Fraction(0))
+        if vp == 0 or vq == 0:
+            a, b = (p, q) if vp == 0 else (q, p)
+            raise ValueError(f"xi lies on a wall: alpha[{a}->{b}](xi) = 0")
+        sigma[p] += vp < 0
+        sigma[q] += vq < 0
+        directed.append((p, q) if vp > 0 else (q, p))
+    return sigma, tuple(directed)
+
+
+def _orient_outcome(fn, pair, xi):
+    try:
+        result = fn(pair, xi)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return (result.sigma, result.edges) if hasattr(result, "sigma") else result
+
+
+def _random_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+def test_orientation_matches_the_fraction_pairing_oracle(family):
+    rng = random.Random(20261018)
+    walls = 0
+    for name, pair in family:
+        # rational axial values, each orientation scaled independently
+        axial = {e: cov.scaled(_random_rational(rng)) for e, cov in pair.axial.items()}
+        scaled = GkmPair(pair.n, pair.vertices, pair.edges, axial)
+        for _ in range(12):
+            xi = Vector(tuple(_random_rational(rng) for _ in range(pair.n)))
+            assert _orient_outcome(orient, scaled, xi) == _orient_outcome(
+                _orient_oracle, scaled, xi), name
+        # a random direction on the wall of one incidence: solve for one coordinate
+        p, q = rng.choice(pair.edges)
+        a = axial[(q, p)].coords
+        i = next(k for k, c in enumerate(a) if c)
+        r = [_random_rational(rng) for _ in range(pair.n)]
+        r[i] = -sum((a[k] * r[k] for k in range(pair.n) if k != i), Fraction(0)) / a[i]
+        xi = Vector(r)
+        got = _orient_outcome(orient, scaled, xi)
+        assert got == _orient_outcome(_orient_oracle, scaled, xi), name
+        assert got[0] is ValueError and got[1].startswith("xi lies on a wall: alpha["), name
+        walls += 1
+    assert walls == len(family)

@@ -25,6 +25,7 @@ from gkmcalc.polyalg import (
     monomials,
     pair,
     project_along,
+    reduce_covector_mod_line,
     reduce_mod_line,
     residue,
     residue_partial_fractions,
@@ -573,3 +574,160 @@ def test_is_class_matches_the_normal_form_oracle(family):
                 p = rng.choice(pair.vertices)
                 values[p] = values[p] + Polynomial(pair.n, {exp: coef})
                 assert is_class(pair, values) == _normal_form_oracle(pair, values), name
+
+
+# --- integer coordinates against plain Fraction tuples -----------------------
+
+
+def _primitive_oracle(coords):
+    """LinearForm's canonical key and scale as built on Fraction coordinates, frozen.
+
+    The nonzero coordinates are cleared to integers, divided by their gcd
+    and signed so the first nonzero entry is positive.
+    """
+    nonzero = {i: c for i, c in enumerate(coords) if c}
+    i0 = min(nonzero)
+    den = math.lcm(*(c.denominator for c in nonzero.values()))
+    row = {i: c.numerator * (den // c.denominator) for i, c in nonzero.items()}
+    g = math.gcd(*row.values()) if row[i0] > 0 else -math.gcd(*row.values())
+    ints = {i: x // g for i, x in row.items()}
+    return tuple(ints.get(i, 0) for i in range(len(coords))), coords[i0] / ints[i0]
+
+
+@st.composite
+def spelled(draw, n):
+    """n rationals with mixed denominators, each spelled as an int, a string or a Fraction."""
+    values = draw(st.lists(st.fractions(-6, 6, max_denominator=8), min_size=n, max_size=n))
+    out = []
+    for q in values:
+        kind = draw(st.sampled_from(("fraction", "str", "int")))
+        k = draw(st.integers(1, 3))
+        if kind == "int" and q.denominator == 1:
+            out.append(int(q))
+        elif kind == "str":
+            out.append(f" {q.numerator * k}/{q.denominator * k}")
+        else:
+            out.append(q)
+    return values, out
+
+
+@seed(20261018)
+@kernel_settings
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(spelled(n), spelled(n))), coefs)
+def test_coordinates_match_fraction_tuples(case, q):
+    (a, a_in), (b, b_in) = case
+    for cls in (Covector, Vector):
+        u, v = cls(a_in), cls(b_in)
+        assert u.n == len(a) and u.coords == tuple(a) and list(u) == a
+        assert [u[i] for i in range(u.n)] == a
+        assert all(type(c) is Fraction for c in (*u.coords, *u))
+        assert u.is_zero() == (not any(a))
+        assert (u + v).coords == tuple(x + y for x, y in zip(a, b))
+        assert (u - v).coords == tuple(x - y for x, y in zip(a, b))
+        assert (-u).coords == tuple(-x for x in a)
+        assert u.scaled(q).coords == tuple(q * x for x in a)
+        assert repr(u) == f"{cls.__name__}({', '.join(str(x) for x in a)})"
+        # equal values built from other spellings or by arithmetic are equal objects
+        for w in (cls(a), u + v - v, u.scaled(3).scaled(Fraction(1, 3)), -(-u)):
+            assert w == u and hash(w) == hash(u) and repr(w) == repr(u)
+    got = pair(Covector(a_in), Vector(b_in))
+    assert type(got) is Fraction and got == sum((x * y for x, y in zip(a, b)), Fraction(0))
+    if any(a):
+        form = LinearForm(Covector(a_in))
+        assert (form.canonical, form.scale) == _primitive_oracle(a)
+        assert all(type(c) is int for c in form.canonical) and type(form.scale) is Fraction
+
+
+def test_coordinate_spellings_and_rejections():
+    half = Covector(("1/2", Fraction(-3, 6), 2))
+    assert half == Covector((Fraction(2, 4), "-2/4", "4/2"))
+    assert hash(half) == hash(Covector(("2/4", "-1/2", Fraction(2))))
+    assert half != Vector(half.coords) and Covector(()) == Covector([])
+    assert Covector((0, "0/5")) == Covector((0, 0)) and Covector((0, 0)).is_zero()
+    for bad in (0.5, True, None):
+        with pytest.raises(TypeError):
+            Covector((1, bad))
+        with pytest.raises(TypeError):
+            half.scaled(bad)
+
+
+# --- linear normal forms on covectors -----------------------------------------
+
+
+def _unit(n, i):
+    return tuple(int(t == i) for t in range(n))
+
+
+def _assert_normal_form_matches(cov, form):
+    got = reduce_covector_mod_line(cov, form)
+    want = reduce_mod_line(Polynomial.from_covector(cov), form)
+    assert type(got) is Covector and got.n == cov.n
+    assert got.coords == tuple(want.coefficient(_unit(cov.n, i)) for i in range(cov.n))
+    assert Polynomial.from_covector(got) == want
+    assert got[form.pivot()] == 0
+    return got
+
+
+@st.composite
+def _normal_form_cases(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=n, max_size=n)
+    form = LinearForm(Covector(draw(entries.filter(any))))
+    cov = Covector(draw(entries))
+    if draw(st.booleans()):
+        # a parallel covector plus a small multiple of another: often a zero result
+        cov = form.covector.scaled(draw(coefs)) + cov.scaled(draw(st.sampled_from((0, 1))))
+    return cov, form
+
+
+@seed(20261018)
+@kernel_settings
+@given(_normal_form_cases())
+def test_reduce_covector_mod_line_matches_reduce_mod_line(case):
+    _assert_normal_form_matches(*case)
+
+
+def test_reduce_covector_mod_line_on_zeros_pivots_and_one_variable():
+    neg = LinearForm(Covector((2, 0, -6)))  # canonical (1, 0, -3): negative pivot
+    assert neg.pivot() == 2 and neg.canonical[2] < 0
+    assert _assert_normal_form_matches(Covector((1, 1, 1)), neg) == Covector(
+        (Fraction(4, 3), 1, 0))
+    assert _assert_normal_form_matches(Covector(("-1/3", 0, 1)), neg).is_zero()
+    assert _assert_normal_form_matches(Covector((0, 0, 0)), neg).is_zero()
+    half = LinearForm(Covector(("1/2", "-3/4")))
+    got = _assert_normal_form_matches(Covector(("2/3", "5/7")), half)
+    assert got == Covector((Fraction(2, 3) + Fraction(5, 7) * Fraction(2, 3), 0))
+    one = LinearForm(Covector(("-5/3",)))
+    for c in ((7,), ("2/9",), (0,)):
+        assert _assert_normal_form_matches(Covector(c), one) == Covector((0,))
+    with pytest.raises(ValueError):
+        reduce_covector_mod_line(Covector((1, 2)), one)
+
+
+def test_simplify_builds_each_canonical_line_once(monkeypatch):
+    calls = {}
+    original = LinearForm.canonical_polynomial
+
+    def counting(self):
+        calls[self.canonical] = calls.get(self.canonical, 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(LinearForm, "canonical_polynomial", counting)
+    x, y, z = (Covector(_unit(3, i)) for i in range(3))
+    forms = [LinearForm(c) for c in (x, y, x - y, (y + z).scaled(2), z)]
+    one = Polynomial.constant(3, 1)
+    terms = [
+        LocalizedTerm(one, (forms[0],)),
+        LocalizedTerm(Polynomial.variable(3, 1), (forms[1], forms[1], forms[2])),
+        LocalizedTerm(one.scaled(-3), (forms[2], forms[2], forms[3])),
+        LocalizedTerm(Polynomial.variable(3, 2), (forms[3], forms[3], forms[4], forms[0])),
+    ]
+    lsum = LocalizedSum(3, tuple(terms))
+    numerator, denominators = simplify(lsum)
+    assert calls and all(count == 1 for count in calls.values()), calls
+    assert set(calls) <= {f.canonical for f in forms}
+    point = (Fraction(2), Fraction(5, 3), Fraction(-7, 2))
+    value = numerator.evaluate(point)
+    for form in denominators:
+        value /= form.polynomial().evaluate(point)
+    assert value == lsum.evaluate(point)
