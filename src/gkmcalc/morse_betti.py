@@ -30,6 +30,7 @@ from .polyalg import (
     Vector,
     graded_dim,
     monomials,
+    pack_monomial,
     pair as pairing,
 )
 
@@ -399,8 +400,9 @@ def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:
     if m < gdeg:
         return 0, total
     polys = [Polynomial.from_covector(c) for c in covs]
-    col = {mon: i for i, mon in enumerate(monomials(n, m))}
-    mult = monomials(n, m - gdeg)
+    # rows are indexed by packed monomial key; x_0**m has the largest key of degree m
+    ncols = pack_monomial((m,) + (0,) * (n - 1)) + 1
+    shifts = [pack_monomial(mu) for mu in monomials(n, m - gdeg)]
     rows = []
     for omit in itertools.combinations(range(len(covs)), l - 1):
         skip = set(omit)
@@ -408,13 +410,8 @@ def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:
         for i, g in enumerate(polys):
             if i not in skip:
                 gen = gen * g
-        for mu in mult:
-            prod = gen * Polynomial(n, {mu: 1})
-            row = [Fraction(0)] * total
-            for exp, coef in prod.terms():
-                row[col[exp]] = coef
-            rows.append(row)
-    return linalg.rank(rows, total), total
+        rows.extend({k + mu: c for k, c in gen._terms.items()} for mu in shifts)
+    return linalg.rank(rows, ncols), total
 
 
 def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:

@@ -1,12 +1,14 @@
 """Exact multivariate polynomial algebra, linear forms, and residues.
 
 Arithmetic is exact rational; no floating point is used anywhere in this
-package.  Polynomials are sparse maps from exponent tuples to nonzero
+package.  Polynomials are sparse maps from packed monomial keys to nonzero
 integer numerators over one common positive denominator, kept in lowest
-terms; their coefficients leave the class as `fractions.Fraction`s.
-Whenever terms must be listed canonically they are sorted in
-graded-lexicographic order (total degree first, then the exponent tuple),
-largest first.
+terms; they hand out exponent tuples and `fractions.Fraction`s.  A key
+packs an exponent tuple into one int of 16-bit fields, the total degree in
+the top field and then e_0 ... e_{n-1}, so multiplying monomials adds keys
+and graded-lexicographic order (total degree first, then the exponent
+tuple) is int order.  Exponents and total degrees above ``MAX_DEGREE`` =
+65535 raise ``InputError``.
 
 A covector is a linear functional on the acting torus's Lie algebra,
 written in coordinates; a vector lives in the algebra itself.  Both are
@@ -36,6 +38,10 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 
 Monomial = tuple[int, ...]
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+MAX_DEGREE = _MASK
 
 
 class InputError(ValueError):
@@ -71,6 +77,33 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
 
 def grlex_key(exp: Monomial) -> tuple[int, Monomial]:
     return (sum(exp), exp)
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise InputError(f"total degree {d} is above the limit {MAX_DEGREE} of monomial keys")
+
+
+def pack_monomial(exp: Monomial) -> int:
+    """Key of a nonnegative exponent tuple: total degree on top, then e_0 ... e_{n-1}."""
+    key = sum(exp)
+    _check_degree(key)
+    for e in exp:
+        key = key << _BITS | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    exp = [0] * n
+    for i in range(n - 1, -1, -1):
+        exp[i] = key & _MASK
+        key >>= _BITS
+    return tuple(exp)
+
+
+def _unit(n: int, i: int) -> int:
+    """Key of the variable x_i."""
+    return 1 << _BITS * n | 1 << _BITS * (n - 1 - i)
 
 
 class _Coords:
@@ -171,24 +204,43 @@ def pair(cov: Covector, vec: Vector) -> Fraction:
     return Fraction(sum(map(operator.mul, cov._num, vec._num)), cov._den * vec._den)
 
 
-def _split(terms: dict[Monomial, int], j: int) -> dict[int, dict[Monomial, int]]:
+def _split(terms: dict[int, int], n: int, j: int) -> dict[int, dict[int, int]]:
     """Group terms by the exponent of x_j, with that exponent zeroed."""
-    parts: dict[int, dict[Monomial, int]] = {}
-    for exp, c in terms.items():
-        parts.setdefault(exp[j], {})[exp[:j] + (0,) + exp[j + 1 :]] = c
+    shift, unit = _BITS * (n - 1 - j), _unit(n, j)
+    parts: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        r = key >> shift & _MASK
+        parts.setdefault(r, {})[key - r * unit] = c
     return parts
+
+
+def _mul_terms(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
+    """Product of two numerator maps; the caller keeps the degree within the limit."""
+    out: dict[int, int] = {}
+    get = out.get
+    items2 = t2.items()
+    for k1, c1 in t1.items():
+        for k2, c2 in items2:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    if not all(out.values()):
+        out = {k: c for k, c in out.items() if c}
+    return out
 
 
 class Polynomial:
     """Sparse exact polynomial in ``n`` variables.
 
     Coefficients are stored as integer numerators over one common positive
-    denominator: ``_terms`` maps exponent tuples to nonzero ints and
-    ``_den`` is an int.  The pair is kept in lowest terms (the gcd of the
-    denominator and every numerator is 1, and zero has denominator 1), so
-    structural equality is mathematical equality.  ``terms``,
-    ``coefficient`` and ``evaluate`` hand out ``Fraction``s.  Instances are
-    immutable by convention; all operations return new objects.
+    denominator: ``_terms`` maps packed monomial keys (``pack_monomial``)
+    to nonzero ints and ``_den`` is an int.  The pair is kept in lowest
+    terms (the gcd of the denominator and every numerator is 1, and zero
+    has denominator 1), so structural equality is mathematical equality.
+    Parsing, products and substitutions raise ``InputError`` rather than
+    pass ``MAX_DEGREE``, so no key field carries into the next.  ``terms``,
+    ``coefficient`` and ``evaluate`` speak exponent tuples and
+    ``Fraction``s.  Instances are immutable by convention; all operations
+    return new objects.
     """
 
     __slots__ = ("n", "_terms", "_den")
@@ -203,13 +255,14 @@ class Polynomial:
         self.n = int(n)
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coef in items:
-                key = tuple(int(e) for e in exp)
-                if len(key) != self.n or any(e < 0 for e in key):
-                    raise ValueError(f"bad exponent tuple {key!r} for n={self.n}")
+                exp = tuple(int(e) for e in exp)
+                if len(exp) != self.n or any(e < 0 for e in exp):
+                    raise ValueError(f"bad exponent tuple {exp!r} for n={self.n}")
+                key = pack_monomial(exp)
                 q = as_fraction(coef)
                 if q:
                     prev = acc.get(key)
@@ -228,27 +281,27 @@ class Polynomial:
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
+        return cls._raw(n, {})
 
     @classmethod
     def constant(cls, n: int, c: int | str | Fraction) -> "Polynomial":
-        return cls(n, {(0,) * n: as_fraction(c)})
+        q = as_fraction(c)
+        return cls._raw(n, {0: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
         if not 0 <= i < n:
             raise ValueError("variable index out of range")
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {exp: 1})
+        return cls._raw(n, {_unit(n, i): 1})
 
     @classmethod
     def from_covector(cls, cov: Covector) -> "Polynomial":
         n = cov.n
-        terms = {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(cov._num) if a}
+        terms = {_unit(n, i): a for i, a in enumerate(cov._num) if a}
         return cls._raw(n, terms, cov._den)
 
     @classmethod
-    def _raw(cls, n: int, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
+    def _raw(cls, n: int, terms: dict[int, int], den: int = 1) -> "Polynomial":
         """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
         if den != 1:
             g = math.gcd(den, *terms.values())
@@ -268,24 +321,24 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical (graded-lex, largest first) order."""
-        den = self._den
-        return [
-            (exp, Fraction(c, den))
-            for exp, c in sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-        ]
+        n, den, terms = self.n, self._den, self._terms
+        return [(_unpack(k, n), Fraction(terms[k], den)) for k in sorted(terms, reverse=True)]
 
     def coefficient(self, exp: Monomial) -> Fraction:
-        return Fraction(self._terms.get(tuple(exp), 0), self._den)
+        exp = tuple(exp)
+        if len(exp) != self.n or min(exp, default=0) < 0 or sum(exp) > MAX_DEGREE:
+            return Fraction(0)
+        return Fraction(self._terms.get(pack_monomial(exp), 0), self._den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> _BITS * self.n
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
+        shift = _BITS * self.n
+        return not self._terms or min(self._terms) >> shift == max(self._terms) >> shift
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of a homogeneous polynomial.
@@ -293,12 +346,11 @@ class Polynomial:
         Returns None for the zero polynomial (homogeneous of every degree)
         and raises ValueError if the terms mix degrees.
         """
-        degs = {sum(e) for e in self._terms}
-        if not degs:
+        if not self._terms:
             return None
-        if len(degs) > 1:
+        if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
+        return self.total_degree()
 
     # --- arithmetic ---------------------------------------------------
 
@@ -344,16 +396,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check(other)
-        out: dict[Monomial, int] = {}
-        get = out.get
-        terms2 = other._terms.items()
-        for e1, c1 in self._terms.items():
-            for e2, c2 in terms2:
-                key = tuple(map(operator.add, e1, e2))
-                out[key] = get(key, 0) + c1 * c2
-        if not all(out.values()):
-            out = {e: c for e, c in out.items() if c}
-        return self._raw(self.n, out, self._den * other._den)
+        if self._terms and other._terms:
+            _check_degree(self.total_degree() + other.total_degree())
+        return self._raw(self.n, _mul_terms(self._terms, other._terms), self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -385,39 +430,63 @@ class Polynomial:
 
     def split_by_variable(self, j: int) -> dict[int, "Polynomial"]:
         """Write self = sum_r x_j^r * part[r] with x_j absent from each part."""
-        return {r: self._raw(self.n, t, self._den) for r, t in _split(self._terms, j).items()}
+        parts = _split(self._terms, self.n, j)
+        return {r: self._raw(self.n, t, self._den) for r, t in parts.items()}
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Ring morphism sending x_i to images[i] (default: itself).
 
-        Horner's scheme, one variable at a time: the terms are grouped by
-        the exponent of x_j and ``acc = acc * images[j] + inner(part_r)``
-        runs from the top power down, so each step multiplies by one image.
-        Variables without an image stay in the monomials.
+        One Horner pass on integer numerators: the images are lifted to
+        their common denominator D and each term of degree s in the
+        substituted variables to D**(top - s), so every product carries
+        D**top, divided out once at the end.  One variable at a time, the
+        terms are grouped by the exponent of x_j and
+        ``acc = acc * images[j] + inner(part_r)`` runs from the top power
+        down on raw term maps.  Variables without an image stay in the
+        monomials.  A result that could pass ``MAX_DEGREE`` raises
+        ``InputError`` before any product is formed.
         """
-        for img in images.values():
-            if img.n != self.n:
+        n = self.n
+        for i, img in images.items():
+            if img.n != n or not 0 <= i < n:
                 raise ValueError("substitution images must live in the same ring")
+        if not self._terms or not images:
+            return self
         order = sorted(images)
+        imgs = [images[i] for i in order]
+        den = math.lcm(*(img._den for img in imgs))
+        lifted = [{k: c * (den // img._den) for k, c in img._terms.items()} for img in imgs]
+        shifts = [_BITS * (n - 1 - i) for i in order]
+        grow = [(sh, d - 1) for sh, d in zip(shifts, map(Polynomial.total_degree, imgs)) if d > 1]
+        if grow:
+            _check_degree(max(
+                (k >> _BITS * n) + sum((k >> sh & _MASK) * g for sh, g in grow) for k in self._terms
+            ))
+        degrees = {k: sum(k >> sh & _MASK for sh in shifts) for k in self._terms}
+        top = max(degrees.values())
+        terms = self._terms
+        if den != 1:
+            terms = {k: c * den ** (top - degrees[k]) for k, c in terms.items()}
 
-        def horner(terms: dict[Monomial, int], depth: int) -> Polynomial:
+        def horner(terms: dict[int, int], depth: int) -> dict[int, int]:
             if depth == len(order):
-                return self._raw(self.n, terms)
-            image = images[order[depth]]
-            parts = _split(terms, order[depth])
-            top = max(parts)
-            acc = horner(parts[top], depth + 1)
-            for r in range(top - 1, -1, -1):
-                acc = acc * image
+                return terms
+            parts = _split(terms, n, order[depth])
+            high = max(parts)
+            acc = horner(parts[high], depth + 1)
+            for r in range(high - 1, -1, -1):
+                acc = _mul_terms(acc, lifted[depth])
                 part = parts.get(r)
                 if part is not None:
-                    acc = acc + horner(part, depth + 1)
+                    for k, c in horner(part, depth + 1).items():
+                        c += acc.get(k, 0)
+                        if c:
+                            acc[k] = c
+                        else:
+                            del acc[k]
             return acc
 
-        if not self._terms:
-            return self
-        out = horner(self._terms, 0)
-        return self._raw(self.n, out._terms, out._den * self._den)
+        return self._raw(n, horner(terms, 0), self._den * den**top)
 
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.n:
@@ -615,24 +684,23 @@ def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
         raise ValueError("ring dimension mismatch")
     if f.is_zero():
         return Polynomial.zero(f.n)
-    c, j = form.canonical, form.pivot()
-    cj = c[j]
-    others = [(i, ci) for i, ci in enumerate(c) if ci and i != j]
-    levels = _split(f._terms, j)
+    n, c, j = f.n, form.canonical, form.pivot()
+    cj, uj = c[j], _unit(n, j)
+    others = [(_unit(n, i), ci) for i, ci in enumerate(c) if ci and i != j]
+    levels = _split(f._terms, n, j)
     top = max(levels)
     lift = cj**top
     levels = {r: {e: a * lift for e, a in t.items()} for r, t in levels.items()}
-    quotient: dict[Monomial, int] = {}
+    quotient: dict[int, int] = {}
     for r in range(top, 0, -1):
         below = levels.setdefault(r - 1, {})
         for e, a in levels[r].items():
             if not a:
                 continue
             b = a // cj
-            quotient[e[:j] + (r - 1,) + e[j + 1 :]] = b
-            for i, ci in others:
-                key = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                below[key] = below.get(key, 0) - b * ci
+            quotient[e + (r - 1) * uj] = b
+            for ui, ci in others:
+                below[e + ui] = below.get(e + ui, 0) - b * ci
     if any(levels[0].values()):
         return None
     return Polynomial._raw(f.n, quotient).scaled(1 / (f._den * lift * form.scale))
@@ -645,15 +713,19 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
     the identification of the form's kernel functions with functions on the
     annihilator of xi.  Requires form(xi) != 0.
     """
-    m = form.evaluate(xi)
-    if m == 0:
+    n, a = f.n, form.covector._num
+    s = sum(map(operator.mul, a, xi._num))
+    if s == 0:
         raise ValueError("form vanishes on xi; projection undefined")
-    alpha = form.polynomial()
+    if s < 0:
+        s, a = -s, [-ai for ai in a]
+    # on numerators, with S = sum a_i xi_i: x_k goes to (S x_k - xi_k sum_i a_i x_i) / S
+    units = [_unit(n, i) for i in range(n)]
     images = {}
-    for k, a in enumerate(xi._num):
-        if a:
-            coef = Fraction(a, xi._den) / m
-            images[k] = Polynomial.variable(f.n, k) - alpha.scaled(coef)
+    for k, xk in enumerate(xi._num):
+        if xk:
+            coefs = (s * (i == k) - xk * ai for i, ai in enumerate(a))
+            images[k] = Polynomial._raw(n, {u: c for u, c in zip(units, coefs) if c}, s)
     return f.substitute(images)
 
 
@@ -814,14 +886,7 @@ def _residue_series(
         raise ValueError("residue basis is singular")
 
     # coordinates of ambient e_k* in the (x, y) basis are column k of M^{-1}
-    images = {}
-    for k in range(n):
-        terms = {}
-        for b in range(n):
-            c = inverse[b][k]
-            if c:
-                terms[tuple(1 if t == b else 0 for t in range(n))] = c
-        images[k] = Polynomial(n, terms)
+    images = {k: Polynomial.from_covector(Covector(col)) for k, col in enumerate(zip(*inverse))}
     F = f.substitute(images)
 
     d = len(forms)
@@ -835,11 +900,7 @@ def _residue_series(
             for row in inverse
         ]
         ms.append(m)
-        beta_terms = {}
-        for b in range(1, n):
-            if coords[b]:
-                beta_terms[tuple(1 if t == b else 0 for t in range(n))] = -coords[b] / m
-        betas.append(Polynomial(n, beta_terms))
+        betas.append(Polynomial.from_covector(Covector([0] + [-c / m for c in coords[1:]])))
 
     parts = F.split_by_variable(0)
     top = max(parts) if parts else 0

@@ -409,3 +409,13 @@ def test_collinear_points_are_a_violation(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err.startswith("violation: ")
+
+
+@pytest.mark.parametrize("exp", [[10**12, 0], [65536, 0], [40000, 30000]])
+def test_exponents_above_the_limit_exit_2(capsys, tmp_path, exp):
+    poly = _file(tmp_path / "f.json", {"n": 2, "terms": [{"exp": exp, "coef": "1"}]})
+    code = main(["residue", "--poly", poly, "--alpha", "1,0", "--xi", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "limit 65535" in captured.err

@@ -33,7 +33,7 @@ from gkmcalc.morse_betti import (
     wall_crossing_check,
 )
 from gkmcalc import linalg
-from gkmcalc.polyalg import Covector, graded_dim
+from gkmcalc.polyalg import Covector, Polynomial, graded_dim, monomials
 
 
 def _cyclic_triangle():
@@ -565,3 +565,39 @@ def test_orientation_matches_the_fraction_pairing_oracle(family):
         assert got[0] is ValueError and got[1].startswith("xi lies on a wall: alpha["), name
         walls += 1
     assert walls == len(family)
+
+
+def _ideal_hilbert_oracle(forms, l, m):
+    """The former ideal_hilbert, kept as an oracle: dense Fraction rows read from terms()."""
+    n = forms[0].n
+    total = graded_dim(n, m)
+    gdeg = len(forms) - (l - 1)
+    if m < gdeg:
+        return 0, total
+    polys = [Polynomial.from_covector(c) for c in forms]
+    col = {mon: i for i, mon in enumerate(monomials(n, m))}
+    rows = []
+    for omit in itertools.combinations(range(len(forms)), l - 1):
+        gen = Polynomial.constant(n, 1)
+        for i, g in enumerate(polys):
+            if i not in omit:
+                gen = gen * g
+        for mu in monomials(n, m - gdeg):
+            row = [Fraction(0)] * total
+            for exp, coef in (gen * Polynomial(n, {mu: 1})).terms():
+                row[col[exp]] = coef
+            rows.append(row)
+    return linalg.rank(rows, total), total
+
+
+def test_ideal_hilbert_matches_the_dense_oracle():
+    rng = random.Random(20261018)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            forms = [Covector(tuple(_random_rational(rng) for _ in range(n)))
+                     for _ in range(rng.randint(1, 4))]
+            forms.append(forms[0].scaled(Fraction(-3, 2)))  # a repeated parallel class
+            for l in range(1, len(forms) + 1):
+                for m in range(len(forms) - l + 4):
+                    assert ideal_hilbert(forms, l, m) == _ideal_hilbert_oracle(forms, l, m), (
+                        forms, l, m)

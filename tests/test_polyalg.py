@@ -12,7 +12,9 @@ from hypothesis import given, seed, settings, strategies as st
 from gkmcalc import chern_class, is_class
 from gkmcalc.cohomology import thom_class_vertex
 from gkmcalc.polyalg import (
+    MAX_DEGREE,
     Covector,
+    InputError,
     LinearForm,
     LocalizedSum,
     LocalizedTerm,
@@ -731,3 +733,126 @@ def test_simplify_builds_each_canonical_line_once(monkeypatch):
     for form in denominators:
         value /= form.polynomial().evaluate(point)
     assert value == lsum.evaluate(point)
+
+
+# --- packed monomial keys and the integer Horner pass --------------------------
+
+
+def _horner_oracle(f, images):
+    """The former Polynomial.substitute, kept verbatim as an oracle.
+
+    Horner's scheme through Polynomial products and sums on exponent-tuple
+    terms; only its reads of the term map go through ``terms()``.
+    """
+    for img in images.values():
+        if img.n != f.n:
+            raise ValueError("substitution images must live in the same ring")
+    order = sorted(images)
+
+    def split(terms, j):
+        parts = {}
+        for exp, c in terms.items():
+            parts.setdefault(exp[j], {})[exp[:j] + (0,) + exp[j + 1 :]] = c
+        return parts
+
+    def horner(terms, depth):
+        if depth == len(order):
+            return Polynomial(f.n, terms)
+        image = images[order[depth]]
+        parts = split(terms, order[depth])
+        top = max(parts)
+        acc = horner(parts[top], depth + 1)
+        for r in range(top - 1, -1, -1):
+            acc = acc * image
+            part = parts.get(r)
+            if part is not None:
+                acc = acc + horner(part, depth + 1)
+        return acc
+
+    if f.is_zero():
+        return f
+    return horner(dict(f.terms()), 0)
+
+
+@st.composite
+def substitutions(draw):
+    """f in n = 0..4 variables, each image linear, arbitrary, zero or absent, over its own denominator."""
+    n = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    polys = st.dictionaries(exps, coefs, max_size=5).map(lambda d: Polynomial(n, d))
+    f = draw(st.one_of(polys, st.just(Polynomial.zero(n))))
+    images = {}
+    for i in range(n):
+        kind = draw(st.sampled_from(("linear", "any", "zero", "none")))
+        if kind == "none":
+            continue
+        img = draw(polys) if kind != "zero" else Polynomial.zero(n)
+        if kind == "linear":
+            img = Polynomial(n, {e: q for e, q in img.terms() if sum(e) == 1})
+        images[i] = img.scaled(Fraction(1, draw(st.integers(1, 9))))
+    return f, images
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitute_matches_the_horner_oracle(case):
+    f, images = case
+    got, want = f.substitute(images), _horner_oracle(f, images)
+    assert got == want
+    assert got.to_json() == want.to_json() and repr(got) == repr(want)
+
+
+@seed(20261018)
+@kernel_settings
+@given(st.integers(0, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.sampled_from((0, 1, 2, 3, 255, 256, MAX_DEGREE // 4))] * n), coefs,
+    max_size=8)))
+def test_terms_follow_the_tuple_grlex_sort(spec):
+    """Small exponents tie on degree often; the larger ones reach the high bits of a field."""
+    n = len(next(iter(spec), ()))
+    p = Polynomial(n, spec)
+    nonzero = {e: q for e, q in spec.items() if q}
+    assert p.terms() == sorted(nonzero.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    for exp, q in nonzero.items():
+        assert p.coefficient(exp) == q
+    assert Polynomial.from_json(p.to_json()) == p
+    assert p.total_degree() == max((sum(e) for e in nonzero), default=-1)
+
+
+def test_coefficient_of_absent_negative_or_mis_sized_exponents_is_zero():
+    p = Polynomial(2, {(1, 2): "3/4", (MAX_DEGREE, 0): 1, (0, 0): -1})
+    cases = [(2, 1), (0, 1), (-1, 3), (1, -1), (1,), (1, 2, 0), (), (MAX_DEGREE + 1, 0),
+             (1, MAX_DEGREE), (MAX_DEGREE, 0, 0)]
+    for exp in cases:
+        got = p.coefficient(exp)
+        assert type(got) is Fraction and got == 0, exp
+    assert p.coefficient([1, 2]) == Fraction(3, 4) and p.coefficient((MAX_DEGREE, 0)) == 1
+    assert Polynomial.constant(0, 5).coefficient((0,)) == 0
+
+
+def test_exponents_above_the_limit_are_refused():
+    top = (MAX_DEGREE, 0)
+    x = Polynomial(2, {top: 2})
+    assert x.terms() == [(top, 2)] and x.homogeneous_degree() == MAX_DEGREE
+    for spec in ({(MAX_DEGREE + 1, 0): 1}, {(MAX_DEGREE, 1): 1}, {(10**12, 0): 1}):
+        with pytest.raises(InputError, match=str(MAX_DEGREE)):
+            Polynomial(2, spec)
+    with pytest.raises(InputError, match=str(MAX_DEGREE)):
+        Polynomial.from_json({"n": 1, "terms": [{"exp": [10**12], "coef": "1"}]})
+    # products and substitutions reaching the limit exactly are exact, one past it raises
+    half = Polynomial(2, {(MAX_DEGREE // 2, 0): 1})
+    y = Polynomial.variable(2, 1)
+    at_limit = half * Polynomial(2, {(MAX_DEGREE - MAX_DEGREE // 2 - 1, 1): 1})
+    assert at_limit.terms() == [((MAX_DEGREE - 1, 1), 1)]
+    assert (half * half).terms() == [((2 * (MAX_DEGREE // 2), 0), 1)]
+    for bad in (lambda: x * y, lambda: half**3, lambda: y * x,
+                lambda: (at_limit + y).substitute({1: y * y}),
+                lambda: half.substitute({0: y * y * y})):
+        with pytest.raises(InputError, match=str(MAX_DEGREE)):
+            bad()
+    assert x.substitute({0: y}).terms() == [((0, MAX_DEGREE), 2)]
+    assert x.substitute({1: y * y}) == x
+    assert x.substitute({0: Polynomial.zero(2)}).is_zero()
+    assert half.substitute({0: y * y}).terms() == [((0, 2 * (MAX_DEGREE // 2)), 1)]
+    assert (x * Polynomial.constant(2, 3)).coefficient(top) == 6
