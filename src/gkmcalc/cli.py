@@ -9,6 +9,11 @@ flags, mismatched argument shapes, unwritable output paths), which the
 raising code marks as InputError.  Nothing ends in a traceback.  Output
 is deterministic: keys are sorted and rationals are serialized as "a/b"
 strings.
+
+One recursive walk (`_write`, joined once) writes each document byte for
+byte as json.dumps(doc, indent=2, sort_keys=True) would, spelling
+polynomials and classes from their integer numerators; anything else
+raises TypeError before a file is opened.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cohomology import CohClass, coh_basis, coh_dim, is_class
@@ -40,7 +46,7 @@ from .morse_betti import (
     orient,
     positively_oriented_function,
 )
-from .polyalg import Covector, InputError, Polynomial, Vector, residue
+from .polyalg import Covector, InputError, Polynomial, Vector, _unpack, residue, spell
 
 
 def _load_json(path: str):
@@ -49,7 +55,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:  # bad JSON or UTF-8, integers past the digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
@@ -78,24 +84,54 @@ def _load_poly(path: str) -> Polynomial:
         raise InputError(f"{path} is not a polynomial file: {err}") from err
 
 
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (Vector, Covector)):
-        return [str(c) for c in obj]
-    if hasattr(obj, "to_json"):
-        return _jsonable(obj.to_json())
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append obj's text at indentation pad, as json.dumps(indent=2, sort_keys=True) spells it."""
+    t = type(obj)
+    if t is str or t is Fraction:
+        out.append(_quote(str(obj)))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict or t is CohClass:
+        if t is CohClass:
+            obj = {"degree": obj.degree, "values": dict(obj.values)}
+        inner = pad + "  "
+        doc = {str(k): v for k, v in obj.items()}
+        for i, key in enumerate(sorted(doc)):
+            out.append(("," if i else "{") + f"\n{inner}{_quote(key)}: ")
+            _write(doc[key], inner, out)
+        out.append(f"\n{pad}}}" if doc else "{}")
+    elif t is list or t is tuple:
+        inner = pad + "  "
+        for i, item in enumerate(obj):
+            out.append(("," if i else "[") + "\n" + inner)
+            _write(item, inner, out)
+        out.append(f"\n{pad}]" if obj else "[]")
+    elif t is Polynomial:
+        # {"n", "terms": [{"coef", "exp"}]} straight from the packed numerators
+        n, terms, den = obj.n, obj._terms, obj._den
+        p1, p2, p3 = pad + "    ", pad + "      ", pad + "        "
+        out.append(f'{{\n{pad}  "n": {n},\n{pad}  "terms": ')
+        for i, key in enumerate(sorted(terms, reverse=True)):
+            exp = f",\n{p3}".join(map(str, _unpack(key, n)))
+            exp = f"[\n{p3}{exp}\n{p2}]" if n else "[]"
+            out.append(("," if i else "[") + f'\n{p1}{{\n{p2}"coef": "{spell(terms[key], den)}",'
+                       f'\n{p2}"exp": {exp}\n{p1}}}')
+        out.append(f"\n{pad}  ]\n{pad}}}" if terms else f"[]\n{pad}}}")
+    elif t is bool or obj is None:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif t is Vector or t is Covector:
+        _write([spell(a, obj._den) for a in obj._num], pad, out)
+    elif hasattr(obj, "to_json"):
+        _write(obj.to_json(), pad, out)
+    else:
+        raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def _emit(doc, out: str | Path | None) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    parts: list[str] = []
+    _write(doc, "", parts)
+    parts.append("\n")
+    text = "".join(parts)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

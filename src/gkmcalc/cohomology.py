@@ -26,6 +26,7 @@ from .polyalg import (
     divides_exactly,
     grlex_key,
     monomials,
+    pack_monomial,
 )
 
 
@@ -254,17 +255,17 @@ def coh_basis(pair: GkmPair, k: int) -> tuple[int, list[CohClass]]:
     n = pair.n
     rows, mons = compatibility_rows(pair, k)
     M = len(mons)
-    vindex = {v: i for i, v in enumerate(pair.vertices)}
-    ncols = len(pair.vertices) * M
-    kernel = linalg.kernel_basis(rows, ncols)
+    kernel = linalg.kernel_basis(rows, len(pair.vertices) * M)
+    keys = [pack_monomial(m) for m in mons]
     classes = []
     for vec in kernel:
-        values = {}
-        for v in pair.vertices:
-            off = vindex[v] * M
-            values[v] = Polynomial(
-                n, {mons[mi]: vec[off + mi] for mi in range(M) if vec[off + mi]}
+        # kernel vectors are primitive integer vectors: every entry is over 1
+        values = {
+            v: Polynomial._raw(
+                n, {key: x.numerator for key, x in zip(keys, vec[i * M:(i + 1) * M]) if x}
             )
+            for i, v in enumerate(pair.vertices)
+        }
         classes.append(CohClass(k, values))
     return len(classes), classes
 

@@ -101,6 +101,12 @@ def _unpack(key: int, n: int) -> Monomial:
     return tuple(exp)
 
 
+def spell(c: int, den: int) -> str:
+    """``str(Fraction(c, den))`` for den > 0, without building the Fraction."""
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 def _unit(n: int, i: int) -> int:
     """Key of the variable x_i."""
     return 1 << _BITS * n | 1 << _BITS * (n - 1 - i)
@@ -214,6 +220,22 @@ def _split(terms: dict[int, int], n: int, j: int) -> dict[int, dict[int, int]]:
     return parts
 
 
+def _key(exp: Monomial, n: int) -> int:
+    if len(exp) != n or any(e < 0 for e in exp):
+        raise ValueError(f"bad exponent tuple {exp!r} for n={n}")
+    return pack_monomial(exp)
+
+
+def _clear(pairs: Iterable[tuple[int, Fraction]]) -> tuple[dict[int, int], int]:
+    """Sum per key, drop zeros, clear to numerators over the lcm (so in lowest terms)."""
+    acc: dict[int, Fraction] = {}
+    for key, q in pairs:
+        prev = acc.get(key)
+        acc[key] = q if prev is None else prev + q
+    den = math.lcm(*(q.denominator for q in acc.values() if q))
+    return {k: q.numerator * (den // q.denominator) for k, q in acc.items() if q}, den
+
+
 def _mul_terms(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
     """Product of two numerator maps; the caller keeps the degree within the limit."""
     out: dict[int, int] = {}
@@ -255,27 +277,10 @@ class Polynomial:
         self.n = int(n)
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
-        acc: dict[int, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coef in items:
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.n or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent tuple {exp!r} for n={self.n}")
-                key = pack_monomial(exp)
-                q = as_fraction(coef)
-                if q:
-                    prev = acc.get(key)
-                    total = q if prev is None else prev + q
-                    if total:
-                        acc[key] = total
-                    elif prev is not None:
-                        del acc[key]
-        # reduced fractions cleared to the lcm of their denominators are
-        # already in lowest terms
-        den = math.lcm(*(q.denominator for q in acc.values()))
-        self._terms = {e: q.numerator * (den // q.denominator) for e, q in acc.items()}
-        self._den = den
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms, self._den = _clear(
+            (_key(tuple(int(e) for e in exp), self.n), as_fraction(coef)) for exp, coef in items
+        )
 
     # --- constructors -------------------------------------------------
 
@@ -504,12 +509,9 @@ class Polynomial:
     # --- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exp": list(exp), "coef": str(coef)} for exp, coef in self.terms()
-            ],
-        }
+        n, terms, den = self.n, self._terms, self._den
+        return {"n": n, "terms": [{"exp": list(_unpack(k, n)), "coef": spell(terms[k], den)}
+                                  for k in sorted(terms, reverse=True)]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Polynomial":
@@ -528,7 +530,7 @@ class Polynomial:
             ):
                 raise ValueError(f"bad exponent list {exp!r}")
             terms.append((tuple(exp), as_fraction(entry["coef"])))
-        return cls(n, terms)
+        return cls._raw(n, *_clear((_key(exp, n), q) for exp, q in terms))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -1,15 +1,22 @@
 """End-to-end command tests: golden documents, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from gkmcalc import complete_graph
-from gkmcalc.cli import main
+from gkmcalc import blow_up, complete_graph
+from gkmcalc.cli import _emit, main
+from gkmcalc.cohomology import chern_class, coh_basis, constant_class
+from gkmcalc.gkm_core import GkmPair, ValidationReport, Violation, validate_axial
+from gkmcalc.polyalg import Covector, Polynomial, Vector
 
 
 def _run(capsys, *argv):
@@ -419,3 +426,118 @@ def test_exponents_above_the_limit_exit_2(capsys, tmp_path, exp):
     assert code == 2
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and "limit 65535" in captured.err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python parses integer literals of any length")
+@pytest.mark.parametrize("kind", ["graph", "class", "poly"])
+def test_integers_past_the_digit_limit_exit_2(capsys, tmp_path, cp2_file, kind):
+    # json.load refuses a literal above the int-to-str digit limit (4300 by default)
+    big = "9" * (sys.get_int_max_str_digits() + 700)
+    graph = json.load(open(cp2_file))
+    docs = {
+        "graph": graph | {"edges": [{**graph["edges"][0], "alpha": ["BIG", "0"]}]
+                          + graph["edges"][1:]},
+        "class": {**_degree0_class("123", 2), "values": {
+            v: {"n": 2, "terms": [{"exp": [0, 0], "coef": "BIG"}]} for v in "123"}},
+        "poly": {"n": 2, "terms": [{"exp": [1, 0], "coef": "BIG"}]},
+    }
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(docs[kind]).replace('"BIG"', big))
+    argv = {
+        "graph": ["validate", str(path)],
+        "class": ["integrate", cp2_file, "--class", str(path)],
+        "poly": ["residue", "--poly", str(path), "--alpha", "1,0", "--xi", "1,1"],
+    }[kind]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "digits" in captured.err
+
+
+def _jsonable_oracle(obj):
+    """The document conversion the writer replaced, frozen."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (Vector, Covector)):
+        return [str(c) for c in obj]
+    if hasattr(obj, "to_json"):
+        return _jsonable_oracle(obj.to_json())
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_oracle(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _library_objects():
+    cp2 = complete_graph([(0, 0), (1, 0), (0, 1)])
+    broken = cp2.to_json()
+    broken["edges"].append({"ends": ["2", "1"], "alpha": broken["edges"][0]["alpha"]})
+    blown, down = blow_up(cp2, "1")
+    _, basis = coh_basis(cp2, 2)
+    return [
+        cp2, blown, down, complete_graph([(0,), ("1/3",)]),
+        validate_axial(GkmPair.from_json(broken)),
+        ValidationReport([Violation("valence", {"degrees": {"1": 2, "10": 3, "2": 1}}),
+                          Violation("1.33", {"edge": ("1", "2"), "maps": ["3", "4"]})], None),
+        ValidationReport([], 2),
+        *basis, chern_class(cp2, 2).scaled(Fraction(-5, 6)), constant_class(cp2, "7/3"),
+        Polynomial.zero(2), Polynomial.zero(0), Polynomial.constant(0, "-7/3"),
+        Polynomial(3, {(1, 0, 12): Fraction(-10**20, 3), (0, 0, 0): 1}),
+        Vector(["1/2", -3, 0]), Covector([]), Covector(["-22/7"]),
+    ]
+
+
+_LIBRARY = _library_objects()
+_rationals = st.builds(Fraction, st.integers(-10**25, 10**25), st.integers(1, 10**25))
+_texts = st.one_of(st.text(max_size=6),
+                   st.sampled_from(["", "\x00\x1f\x7f", " é\\\"/", "\U0001F600", "\ud800"]))
+_polys = st.builds(
+    Polynomial,
+    st.just(2),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _rationals, max_size=4),
+)
+_leaves = st.one_of(
+    st.integers(-10**40, 10**40), _texts, st.booleans(), st.none(), _rationals, _polys,
+    st.lists(_rationals, max_size=3).map(Vector), st.lists(_rationals, max_size=3).map(Covector),
+    st.sampled_from(_LIBRARY),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_texts, st.integers(-3, 120)), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_writer_matches_json_dumps(doc):
+    expected = json.dumps(_jsonable_oracle(doc), indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc, None)
+    assert out.getvalue() == expected
+
+
+def test_writer_files_and_refusals(tmp_path):
+    doc = {10: [], "2": {}, "b": (1, (), {"x": None}), "a": [True, False, Fraction(-1, 3)],
+           "é\n": _LIBRARY}
+    path = tmp_path / "doc.json"
+    _emit(doc, path)
+    expected = json.dumps(_jsonable_oracle(doc), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+    assert list(json.loads(expected)) == ["10", "2", "a", "b", "é\n"]
+    for bad in (0.5, {"a": [1, (2, 1.5)]}, [Polynomial.zero(1), {3}], {"x": object()}):
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            _emit(bad, path)
+        assert not path.exists()

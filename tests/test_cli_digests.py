@@ -1,4 +1,4 @@
-"""Byte-level pins of the localization and chamber commands.
+"""Byte-level pins of the localization, chamber, ring and structure commands.
 
 Each localization case runs `integrate`, `jk --c`, `jk --sweep --xi` and
 `residue` with both methods on a fixture pair and a Chern-monomial class
@@ -6,7 +6,9 @@ of degree d-1, d or d+1 (d the valence).  Each chamber case runs `betti`,
 `betti --xi` and `jk --sweep` on the unit class without `--xi`, which
 prints the first acyclic chamber's witness as `xi`.  Each ring case runs
 `cohdim`, `cohdim --basis` (hashed over the sorted file names and their
-bytes), `morse --xi` and `morse --xi --l n` up to a fixed degree.  All
+bytes), `morse --xi` and `morse --xi --l n` up to a fixed degree.  The
+structure cases run `validate` (clean, violating and with a swapped
+connection), `blowup`, `product`, `complete` and `cycle`.  All
 compare the sha256 of stdout with a recorded digest.  Any change to the
 JSON these commands print, down to the order of terms, the spelling of a
 rational, the witness chosen inside a chamber or the scaling of a basis
@@ -23,6 +25,7 @@ import pytest
 from gkmcalc import complete_graph
 from gkmcalc.cli import main
 from gkmcalc.cohomology import chern_class, constant_class
+from gkmcalc.gkm_core import relabel
 
 # fixture -> (direction xi, level c for the single-level pushforward)
 CASES = {
@@ -362,3 +365,63 @@ def test_ring_output_is_pinned(request, capsys, tmp_path, name):
     pair = _ring_pair(request, name)
     k, xi = RING_CASES[name]
     assert _ring_digests(capsys, tmp_path, pair, k, xi) == RING_DIGESTS[name]
+
+
+def _structure_runs(tmp_path, cp2, k5n3):
+    """argv and expected exit code of each structural command."""
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    cp2_file = write("cp2.json", cp2.to_json())
+    k5_file = write("k5.json", k5n3.to_json())
+    # both orientations of one edge pinned to +alpha, one vertex of degree 1
+    broken = cp2.to_json()
+    first = broken["edges"][0]
+    broken["edges"].append({"ends": first["ends"][::-1], "alpha": first["alpha"]})
+    broken["edges"].append({"ends": ["3", "4"], "alpha": ["1/2", "-7/3"]})
+    broken["vertices"].append("4")
+    broken.pop("connection")
+    # two targets of the 1->2 connection map exchanged
+    swapped = k5n3.to_json()
+    m = swapped["connection"]["1->2"]
+    a, b = sorted(m, key=int)[-2:]
+    m[a], m[b] = m[b], m[a]
+    seg = relabel(complete_graph([(0, 0), (1, 1)]), {"1": "a", "2": "b"})
+    return {
+        "validate": (["validate", cp2_file], 0),
+        "validate-k5": (["validate", k5_file], 0),
+        "validate-violating": (["validate", write("broken.json", broken)], 1),
+        "validate-swapped": (["validate", write("swapped.json", swapped)], 1),
+        "blowup": (["blowup", cp2_file, "--vertex", "1"], 0),
+        "blowup-k5": (["blowup", k5_file, "--vertex", "3"], 0),
+        "product": (["product", cp2_file, write("seg.json", seg.to_json())], 0),
+        "complete": (["complete", "--alphas", "0,0;1/2,0;0,-2/3;3,5/7"], 0),
+        "cycle": (["cycle", "--count", "8", "--a1", "1,2", "--a2=-1/3,1"], 0),
+    }
+
+
+# Recorded from the json.dumps(indent=2, sort_keys=True) writer, before the
+# one-walk writer.
+STRUCTURE_DIGESTS = {
+    "blowup": "4905a271576b044ec2519eece79c90efc5f8dc5eb6d2a1484371f1489e2d13f3",
+    "blowup-k5": "22456463739affa91bc161726b5dcd62af7680dca4ada809572d084292e56a0f",
+    "complete": "9876e0783e1dd6538055a1023f46d8260abeb4670b4c3c285be411a76824ea6f",
+    "cycle": "84f66eb0ac671b6485197d102f0524da2e612308a197e0cfd77a9e915c16c0ec",
+    "product": "fa571c156f8ff23f6f4e1964d9c3127450b9ed3b016542391d6a10a59805c659",
+    "validate": "a8723451ef7860591a0166c52fc32dd81cba80c446ba5452359d47e9edab9b6d",
+    "validate-k5": "4c13ae71bf47e56a816df0fddccca7b4833da413e0c9ce665fe76ccd7d076e65",
+    "validate-swapped": "d16cf09c7fbf7eb59f55aacfa16118c861ea68c2273598333576b72733840d50",
+    "validate-violating": "e537a9904182d0af7e5e727574e7db1a00252e7aed038c9b8f4cecc80f8382c7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_DIGESTS))
+def test_structure_output_is_pinned(capsys, tmp_path, cp2, k5n3, name):
+    argv, expected = _structure_runs(tmp_path, cp2, k5n3)[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected, argv
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STRUCTURE_DIGESTS[name]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from gkmcalc.polyalg import (
     LocalizedTerm,
     Polynomial,
     Vector,
+    as_fraction,
     divides_exactly,
     graded_dim,
     grlex_key,
@@ -856,3 +858,106 @@ def test_exponents_above_the_limit_are_refused():
     assert x.substitute({0: Polynomial.zero(2)}).is_zero()
     assert half.substitute({0: y * y}).terms() == [((0, 2 * (MAX_DEGREE // 2)), 1)]
     assert (x * Polynomial.constant(2, 3)).coefficient(top) == 6
+
+
+def _from_json_oracle(obj):
+    """Polynomial.from_json as it parsed through Polynomial.__init__, frozen: (n, {exp: q})."""
+    if not isinstance(obj, Mapping) or "n" not in obj or "terms" not in obj:
+        raise ValueError("polynomial object needs 'n' and 'terms'")
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("'n' must be a nonnegative integer")
+    terms = []
+    for entry in obj["terms"]:
+        if not isinstance(entry, Mapping) or "exp" not in entry or "coef" not in entry:
+            raise ValueError("each term needs 'exp' and 'coef'")
+        exp = entry["exp"]
+        if not isinstance(exp, (list, tuple)) or any(
+            not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp
+        ):
+            raise ValueError(f"bad exponent list {exp!r}")
+        terms.append((tuple(exp), as_fraction(entry["coef"])))
+    acc = {}
+    for exp, coef in terms:
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != n or any(e < 0 for e in exp):
+            raise ValueError(f"bad exponent tuple {exp!r} for n={n}")
+        if sum(exp) > MAX_DEGREE:  # pack_monomial's check
+            raise InputError(
+                f"total degree {sum(exp)} is above the limit {MAX_DEGREE} of monomial keys")
+        q = as_fraction(coef)
+        if q:
+            prev = acc.get(exp)
+            total = q if prev is None else prev + q
+            if total:
+                acc[exp] = total
+            elif prev is not None:
+                del acc[exp]
+    return n, acc
+
+
+def _spelling(rnd):
+    """A coefficient as a JSON file may spell it: mostly exact, sometimes not."""
+    roll = rnd.random()
+    if roll < 0.4:
+        return rnd.randint(-6, 6)
+    if roll < 0.9:
+        return rnd.choice(["{}/{}", " {}/{} ", "\t{}/{}\n"]).format(rnd.randint(-9, 9),
+                                                                  rnd.randint(1, 9))
+    return rnd.choice(["-0/5", "+1", "1_000", "1/-3", "2/0", "abc", "", "1.5", "1e2", 0.5, 2.0,
+                       True, False, None, [1], Fraction(-7, 3)])
+
+
+@st.composite
+def polynomial_documents(draw):
+    """Mostly well-formed documents, with duplicate monomials, zeros and every bad spelling."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = rnd.randint(0, 3) if rnd.random() < 0.9 else rnd.choice([-1, True, "2", 1.0, None])
+    width = n if type(n) is int and n >= 0 else 2
+    pool = [[rnd.randint(0, 4) for _ in range(width)] for _ in range(rnd.randint(1, 4))]
+    odd_exps = [[0] * (width + 1), [0] * max(width - 1, 0), [-1] * width, [True] * width,
+                [1.5] * width, "11", [40000] * width, [65536] + [0] * (width - 1),
+                [MAX_DEGREE] + [0] * (width - 1)]
+    odd_entries = [{}, {"exp": [0] * width}, {"coef": "1"}, [], "term"]
+    terms = []
+    for _ in range(rnd.randint(0, 6)):
+        roll = rnd.random()
+        exp = rnd.choice(odd_exps) if roll < 0.05 else rnd.choice(pool)
+        entry = {"exp": exp, "coef": _spelling(rnd)}
+        terms.append(rnd.choice(odd_entries) if roll > 0.97 else entry)
+    if rnd.random() < 0.03:
+        return rnd.choice([{"n": n}, {"terms": []}, [], "poly", {"n": n, "terms": 5}])
+    return {"n": n, "terms": terms}
+
+
+@seed(20261018)
+@settings(max_examples=600, deadline=None)
+@given(polynomial_documents())
+def test_from_json_parses_exactly_as_before(doc):
+    try:
+        expected = _from_json_oracle(doc)
+    except Exception as err:  # the oracle's refusal, compared below
+        with pytest.raises(type(err)) as got:
+            Polynomial.from_json(doc)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    p = Polynomial.from_json(doc)
+    assert (p.n, dict(p.terms())) == expected
+    nums = list(p._terms.values())
+    assert p._den > 0 and math.gcd(p._den, *nums) == 1 and all(nums)
+    assert p == Polynomial(*expected) and Polynomial.from_json(p.to_json()) == p
+
+
+def test_from_json_spellings_and_limits():
+    doc = {"n": 2, "terms": [{"exp": [1, 0], "coef": " 3/4 "}, {"exp": [0, 1], "coef": 0},
+                             {"exp": [1, 0], "coef": "-1/4"}, {"exp": [1, 1], "coef": "2/6"},
+                             {"exp": [1, 1], "coef": "-1/3"}, {"exp": [0, 0], "coef": -2}]}
+    p = Polynomial.from_json(doc)
+    assert p.terms() == [((1, 0), Fraction(1, 2)), ((0, 0), Fraction(-2))]
+    assert (p._terms, p._den) == (Polynomial(2, {(1, 0): "1/2", (0, 0): -2})._terms, 2)
+    for coef in (0.5, True, None):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"n": 1, "terms": [{"exp": [1], "coef": coef}]})
+    with pytest.raises(InputError, match="65535"):
+        Polynomial.from_json({"n": 2, "terms": [{"exp": [40000, 30000], "coef": "1"}]})
+    assert Polynomial.from_json({"n": 0, "terms": []}) == Polynomial.zero(0)
