@@ -67,8 +67,9 @@ def _load_pair(path: str) -> GkmPair:
 
 
 def _load_class(path: str, pair: GkmPair) -> CohClass:
+    doc = _load_json(path)
     try:
-        cls = CohClass.from_json(_load_json(path))
+        cls = CohClass.from_json(doc)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"{path} is not a class file: {err}") from err
     ok, bad_edge = is_class(pair, cls.values)
@@ -78,8 +79,9 @@ def _load_class(path: str, pair: GkmPair) -> CohClass:
 
 
 def _load_poly(path: str) -> Polynomial:
+    doc = _load_json(path)
     try:
-        return Polynomial.from_json(_load_json(path))
+        return Polynomial.from_json(doc)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"{path} is not a polynomial file: {err}") from err
 

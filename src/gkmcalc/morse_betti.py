@@ -189,6 +189,65 @@ def _axial_classes(pair: GkmPair) -> list[LinearForm]:
     return list(seen.values())
 
 
+def _scaled(point: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The point times the lcm of its denominators, and that positive scale."""
+    scale = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (scale // x.denominator) for x in point], scale
+
+
+def _ratio_extremes(pairs: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """The pairs (p, q) with the smallest and the largest p / q, all q of one sign.
+
+    Two such ratios compare as p * q' against p' * q, since q * q' > 0.
+    """
+    low = high = pairs[0]
+    for r in pairs:
+        if r[0] * low[1] < low[0] * r[1]:
+            low = r
+        elif r[0] * high[1] > high[0] * r[1]:
+            high = r
+    return low, high
+
+
+def _between(lo: tuple[int, int] | None, hi: tuple[int, int] | None) -> Fraction | None:
+    """A value strictly above the bound lo and below hi, or None if lo >= hi.
+
+    Each bound is a pair (p, q), q > 0, standing for p / q, or None when
+    there is none.  The value is the midpoint, one past the only bound,
+    or 1 without bounds.
+    """
+    if lo and hi:
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
+            return None
+        return Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+    if lo:
+        return Fraction(lo[0] + lo[1], lo[1])
+    if hi:
+        return Fraction(hi[0] - hi[1], hi[1])
+    return Fraction(1)
+
+
+def _last_coordinate(
+    lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]], point: Sequence[Fraction]
+) -> Fraction | None:
+    """A last coordinate strictly between the bounds at point, or None if max(lo) >= min(hi).
+
+    Row r bounds the last coordinate by -(r . point) / r[-1]: from below on
+    lower rows (r[-1] > 0), from above on upper rows.  Bounds are compared
+    as integer pairs over the point's common denominator.
+    """
+    ip, scale = _scaled(point)
+    m = len(ip)
+    lo = hi = None
+    if lower:
+        p, q = _ratio_extremes([(-sum(map(operator.mul, r, ip)), r[m]) for r in lower])[1]
+        lo = (p, q * scale)
+    if upper:
+        p, q = _ratio_extremes([(-sum(map(operator.mul, r, ip)), r[m]) for r in upper])[0]
+        hi = (-p, -q * scale)
+    return _between(lo, hi)
+
+
 def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
     """Rational witness for the strict system row . x > 0 over integer rows, or None.
 
@@ -197,35 +256,74 @@ def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
     so positive multiples of a row merge; that moves no bound, so the
     witness is the unmerged one.  A witness for the reduced system is
     extended by picking the last coordinate strictly between the bounds.
+
+    At n <= 2 the elimination is decided in closed form, with the witness
+    the recursion would give.  At n = 1 the point is +1 unless a row is
+    negative, and no point exists when rows of both signs do.  At n = 2 a
+    combination of a lower row (r1 > 0) and an upper row (r1 < 0) has the
+    sign of the difference of their ratios r0 / r1, and a ratio the two
+    sides share combines into the zero row.  So the reduced 1-D system
+    holds its point x0 exactly when the rows with r1 = 0 have the sign of
+    x0 and the bounds max(lo) and min(hi) on the last coordinate, -x0
+    times the facing ratio extremes, are strictly apart.  The recursion's
+    point is +1 when that holds for +1 and -1 otherwise.  Since the closed
+    form reads only ratios and signs, the combinations made at n = 3 go
+    to it unmerged.
     """
+    if n == 2:
+        flat = [r[0] for r in rows if r[1] == 0]
+        lower = [r for r in rows if r[1] > 0]
+        upper = [r for r in rows if r[1] < 0]
+        l_lo, l_hi = _ratio_extremes(lower) if lower else (None, None)
+        u_lo, u_hi = _ratio_extremes(upper) if upper else (None, None)
+        for x in (1, -1):
+            if all(c * x > 0 for c in flat):
+                l, u = (l_lo, u_hi) if x > 0 else (l_hi, u_lo)
+                lo = (-x * l[0], l[1]) if lower else None
+                hi = (x * u[0], -u[1]) if upper else None
+                last = _between(lo, hi)
+                if last is not None:
+                    return [Fraction(x), last]
+        return None
     if any(not any(r) for r in rows):
         return None
     if n == 0:
         return []
-    lower = [r for r in rows if r[n - 1] > 0]
-    upper = [r for r in rows if r[n - 1] < 0]
-    reduced = {tuple(r[: n - 1]) for r in rows if r[n - 1] == 0}
-    for a in lower:
-        for b in upper:
-            row = tuple(a[i] * -b[n - 1] + b[i] * a[n - 1] for i in range(n - 1))
-            g = math.gcd(*row)
-            reduced.add(row if g <= 1 else tuple(x // g for x in row))
-    point = _feasible(reduced, n - 1)
+    if n == 1:
+        negative = any(r[0] < 0 for r in rows)
+        if negative and any(r[0] > 0 for r in rows):
+            return None
+        return [Fraction(-1 if negative else 1)]
+    m = n - 1
+    lower = [r for r in rows if r[m] > 0]
+    upper = [r for r in rows if r[m] < 0]
+    if m == 2:
+        # unpacked, and unmerged: the closed form reads only ratios and signs
+        reduced = [r[:2] for r in rows if r[2] == 0]
+        for a0, a1, a2 in lower:
+            for b0, b1, b2 in upper:
+                row = (b0 * a2 - a0 * b2, b1 * a2 - a1 * b2)
+                if row == (0, 0):
+                    return None  # a and b are opposite
+                reduced.append(row)
+    else:
+        reduced = {tuple(r[:m]) for r in rows if r[m] == 0}
+        coords = range(m)
+        for a in lower:
+            pa = a[m]
+            for b in upper:
+                nb = -b[m]
+                row = tuple([a[i] * nb + b[i] * pa for i in coords])
+                g = math.gcd(*row)
+                if g == 0:
+                    return None  # a and b are opposite
+                reduced.add(row if g == 1 else tuple([x // g for x in row]))
+    point = _feasible(reduced, m)
     if point is None:
         return None
-    lo = [Fraction(-sum(r[i] * point[i] for i in range(n - 1)), r[n - 1]) for r in lower]
-    hi = [Fraction(-sum(r[i] * point[i] for i in range(n - 1)), r[n - 1]) for r in upper]
-    if lo and hi:
-        a, b = max(lo), min(hi)
-        if a >= b:
-            raise ArithmeticError("feasibility witness collapsed")
-        last = (a + b) / 2
-    elif lo:
-        last = max(lo) + 1
-    elif hi:
-        last = min(hi) - 1
-    else:
-        last = Fraction(1)
+    last = _last_coordinate(lower, upper, point)
+    if last is None:
+        raise ArithmeticError("feasibility witness collapsed")
     return point + [last]
 
 
@@ -238,26 +336,29 @@ def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
     is dropped with all its extensions.  Below the last class, a child
     keeps its parent's witness when that is strictly positive on the new
     row; a full-length sign vector's witness is always the feasibility
-    witness of its whole system.
+    witness of its whole system.  Each new witness is carried with its
+    integer scaling by the positive lcm of its denominators, so the reuse
+    test and the leaf self-check are integer dot products of the same sign.
     """
     signed = [(tuple(-c for c in cls.canonical), cls.canonical) for cls in classes]
 
-    def extend(signs: tuple[int, ...], rows: list, witness: list[Fraction]):
+    def extend(signs: tuple[int, ...], rows: list, witness: list[Fraction], iw: list[int]):
         depth = len(signs)
         if depth == len(classes):
             for row in rows:
-                if sum(c * x for c, x in zip(row, witness)) <= 0:
+                if sum(map(operator.mul, row, iw)) <= 0:
                     raise ArithmeticError("feasibility witness fails its own system")
             yield signs, witness
             return
         for s, row in zip((-1, 1), signed[depth]):
             grown = rows + [row]
-            reuse = depth + 1 < len(classes) and sum(c * x for c, x in zip(row, witness)) > 0
+            reuse = depth + 1 < len(classes) and sum(map(operator.mul, row, iw)) > 0
             w = witness if reuse else _feasible(grown, n)
             if w is not None:
-                yield from extend(signs + (s,), grown, w)
+                yield from extend(signs + (s,), grown, w, iw if reuse else _scaled(w)[0])
 
-    yield from extend((), [], _feasible([], n))
+    root = _feasible([], n)
+    yield from extend((), [], root, _scaled(root)[0])
 
 
 def _chambers(classes: Sequence[LinearForm], n: int) -> tuple[list[Chamber], str]:

@@ -297,6 +297,20 @@ def test_class_values_that_are_not_an_object_exit_2(capsys, tmp_path, cp2_file, 
     assert captured.out == "" and "not a class file" in captured.err
 
 
+@pytest.mark.parametrize("command", ["integrate", "residue"])
+def test_truncated_input_file_is_named_once(capsys, tmp_path, cp2_file, command):
+    path = _file(tmp_path / "badc.json", b'{"degree": 0, "values": {')
+    if command == "integrate":
+        argv = ["integrate", cp2_file, "--class", path]
+    else:
+        argv = ["residue", "--poly", path, "--alpha", "1,0", "--xi", "1,1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith(f"error: {path} is not valid JSON: ")
+    assert captured.err.count(path) == 1
+
+
 def test_zero_residue_covector_exits_2(capsys, tmp_path):
     poly = tmp_path / "f.json"
     poly.write_text(json.dumps({"n": 2, "terms": [{"exp": [2, 0], "coef": "1"}]}))

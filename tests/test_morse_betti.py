@@ -220,12 +220,14 @@ def test_chamber_search_matches_the_exhaustive_oracle(family):
 def _pair_named(request, name):
     if name == "k8":
         return complete_graph([(i, i * i) for i in range(1, 9)])
+    if name == "k6n4":
+        return _moment_curve(6, 4)
     value = request.getfixturevalue(name)
     return value[0] if name == "blowup" else value
 
 
 @pytest.mark.parametrize(
-    "name", ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k8"]
+    "name", ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k8", "k6n4"]
 )
 def test_chamber_count_equals_the_whitney_count(request, name):
     pair = _pair_named(request, name)
@@ -236,6 +238,19 @@ def test_chamber_count_equals_the_whitney_count(request, name):
         # 13 wall classes: past the size where enumeration used to fall back to sampling
         assert len(_axial_classes(pair)) == 13
         assert out["chambers_found"] == 26
+    if name == "k6n4":
+        # K6 over (t, t^2, t^3, t^4): 15 wall classes in n = 4
+        assert len(_axial_classes(pair)) == 15
+        assert out["chambers_found"] == 442
+
+
+@pytest.mark.parametrize(
+    "count,n,expected",
+    [(7, 3, ("1", "1", "-11/7")), (6, 4, ("1", "1", "1", "-26/15"))],
+)
+def test_find_acyclic_xi_on_the_moment_curve_ladder(count, n, expected):
+    # the first acyclic chamber's witness, which jk --sweep and morse use without --xi
+    assert find_acyclic_xi(_moment_curve(count, n)) == Vector(tuple(Fraction(c) for c in expected))
 
 
 def _adjacent_witnesses(pair):
@@ -509,6 +524,147 @@ def test_feasible_returns_the_fraction_oracle_witness(system):
     if got is not None:
         assert all(type(x) is Fraction for x in got)
         assert all(sum(c * x for c, x in zip(r, got)) > 0 for r in rows)
+
+
+def _ratio_key(row):
+    return Fraction(row[0], row[1])
+
+
+def _planted_system(rng, n, count):
+    """count rows with entries in -50..50, all positive on one random direction."""
+    direction = [rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(n)]
+    rows = []
+    while len(rows) < count:
+        row = tuple(rng.randint(-50, 50) for _ in range(n))
+        d = sum(c * x for c, x in zip(row, direction))
+        if d:
+            rows.append(row if d > 0 else tuple(-c for c in row))
+    return rows
+
+
+def _doubled(row):
+    """Twice the row when that stays in -50..50, else the row again."""
+    return tuple(2 * c for c in row) if max(map(abs, row)) <= 25 else row
+
+
+def _oracle_cases(rng, n):
+    """(label, rows) systems in -50..50 aimed at each branch of the closed form.
+
+    8-30 rows at n = 2 and 8-16 at n = 3, where the Fraction oracle pays
+    for every lower x upper pair at both levels.
+    """
+    count = rng.randint(8, 30 if n == 2 else 16)
+    planted = _planted_system(rng, n, count)
+    yield "planted", planted
+    lower = [r for r in planted if r[-1] > 0]
+    upper = [r for r in planted if r[-1] < 0]
+    for side in (lower, upper):
+        if not side:
+            continue
+        if n == 2:
+            # the side's two ratio extremes, negated onto the other side: one of
+            # them faces the other side's extreme, a ratio both sides share
+            for extreme in (min(side, key=_ratio_key), max(side, key=_ratio_key)):
+                yield "shared ratio", planted + [tuple(-c for c in extreme)]
+                yield "repeated extreme", planted + [extreme, _doubled(extreme), extreme]
+        else:
+            row = rng.choice(side)
+            yield "opposite rows", planted + [tuple(-c for c in row)]
+            yield "repeated rows", planted + [row, _doubled(row)]
+    yield "lower only", [r[:-1] + (rng.randint(1, 50),) for r in planted]
+    yield "upper only", [r[:-1] + (-rng.randint(1, 50),) for r in planted]
+    flat = [r[:-1] + (0,) for r in planted if any(r[:-1])]
+    if flat:
+        yield "flat rows of one sign", planted + flat[:3]
+        yield "flat rows of both signs", planted + [flat[0], tuple(-c for c in flat[0])]
+    yield "zero row", planted + [(0,) * n]
+    yield "random", [tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_feasible_matches_the_fraction_oracle_on_large_systems(n):
+    rng = random.Random(1018 + n)
+    seen: dict[str, set[bool]] = {}
+    for _ in range(40):
+        for label, rows in _oracle_cases(rng, n):
+            rows = rng.sample(rows, len(rows))
+            expected = _fraction_feasible([tuple(Fraction(c) for c in r) for r in rows], n)
+            assert _feasible(rows, n) == expected, (label, rows)
+            seen.setdefault(label, set()).add(expected is not None)
+    # each kind of system was drawn, with the outcome it is built to have
+    assert seen["planted"] == seen["lower only"] == seen["upper only"] == {True}
+    assert seen["zero row"] == seen["flat rows of both signs"] == {False}
+    if n == 2:
+        assert seen["shared ratio"] == {False}
+        assert True in seen["repeated extreme"]
+
+
+def test_collapsed_bounds_are_an_error(monkeypatch):
+    # a reduced witness that leaves no room for the last coordinate is a bug, not infeasibility
+    from gkmcalc import morse_betti
+
+    real = morse_betti._feasible
+    fake = [Fraction(1), Fraction(-1)]
+    monkeypatch.setattr(morse_betti, "_feasible", lambda rows, n: fake if n == 2 else real(rows, n))
+    # at (1, -1) lower (1, 0, 1) and upper (0, 1, -1) both bound the last coordinate by -1
+    with pytest.raises(ArithmeticError, match="collapsed"):
+        real([(1, 0, 1), (0, 1, -1)], 3)
+
+
+def test_chamber_leaf_rechecks_its_witness(monkeypatch, cp2):
+    from gkmcalc import morse_betti
+
+    real = morse_betti._feasible
+
+    def off_by_sign(rows, n):
+        w = real(rows, n)
+        return w if w is None or len(rows) < 3 else [-x for x in w]
+
+    monkeypatch.setattr(morse_betti, "_feasible", off_by_sign)
+    with pytest.raises(ArithmeticError, match="fails its own system"):
+        list(_chamber_search(_axial_classes(cp2), cp2.n))
+
+
+def _fraction_reuse_prefixes(classes, n):
+    """The prefixes the chamber search checks, with its reuse test made on Fraction witnesses."""
+    checked = []
+
+    def extend(depth, rows, witness):
+        if depth == len(classes):
+            return
+        for row in (tuple(-c for c in classes[depth].canonical), classes[depth].canonical):
+            grown = rows + [row]
+            if depth + 1 < len(classes) and sum(c * x for c, x in zip(row, witness)) > 0:
+                extend(depth + 1, grown, witness)
+                continue
+            checked.append(grown)
+            w = _fraction_feasible([tuple(map(Fraction, r)) for r in grown], n)
+            if w is not None:
+                extend(depth + 1, grown, w)
+
+    checked.append([])
+    extend(0, [], _fraction_feasible([], n))
+    return checked
+
+
+def test_chamber_search_checks_the_same_prefixes(monkeypatch, family):
+    from gkmcalc import morse_betti
+
+    real = morse_betti._feasible
+    calls = []
+
+    def recording(rows, n):
+        calls.append((n, rows))
+        return real(rows, n)
+
+    monkeypatch.setattr(morse_betti, "_feasible", recording)
+    for name, pair in family + [("K5 n=3", _moment_curve(5, 3))]:
+        classes = _axial_classes(pair)
+        calls.clear()
+        list(_chamber_search(classes, pair.n))
+        # the elimination recurses through the module global with fewer coordinates
+        checked = [rows for n, rows in calls if n == pair.n]
+        assert checked == _fraction_reuse_prefixes(classes, pair.n), name
 
 
 # --- orientation signs against Fraction pairings --------------------------------
