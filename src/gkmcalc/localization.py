@@ -19,6 +19,7 @@ from .cohomology import CohClass
 from .gkm_core import GkmPair, OrientedEdge
 from .morse_betti import positively_oriented_function
 from .polyalg import (
+    InputError,
     LinearForm,
     LocalizedSum,
     LocalizedTerm,
@@ -90,7 +91,7 @@ class LevelCut:
         if len(set(levels)) != len(levels):
             raise ValueError("phi must be injective")
         if self.c in set(levels):
-            raise ValueError("c must avoid the vertex levels")
+            raise InputError("c must avoid the vertex levels")
         for p, q in pair.edges:
             a = pairing(pair.axial_at(q, p), self.xi)
             if a == 0:

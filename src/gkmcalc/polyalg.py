@@ -22,8 +22,15 @@ argument is itself linear.
 
 The residue of ``f / prod(alpha_i)`` along a direction ``xi`` is
 implemented twice, by a truncated geometric-series expansion and by a
-partial-fraction formula; the two routes share no code and are checked
-against each other in the test suite.
+partial-fraction formula, checked against each other in the test suite.
+Both rest on one kernel, ``_taylor``: the divided derivatives of f along
+xi on integer numerators.  Past it they stay independent.  The series
+route reads the expansion of f in the xi direction off the kernel and
+expands prod(1/alpha_i) through the complete homogeneous symmetric
+polynomials h_m; the formula route projects f along each form
+(``project_along``) and collapses the partial fractions with
+``simplify``.  The tests also pin both routes to frozen copies of their
+earlier general-substitution (Horner) versions.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-from . import linalg
 
 Monomial = tuple[int, ...]
 
@@ -248,6 +253,41 @@ def _mul_terms(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
     if not all(out.values()):
         out = {k: c for k, c in out.items() if c}
     return out
+
+
+def _add_into(acc: dict[int, int], terms: dict[int, int], factor: int = 1) -> None:
+    """acc += factor * terms in place, for a nonzero int factor."""
+    get = acc.get
+    for k, c in terms.items():
+        c = get(k, 0) + c * factor
+        if c:
+            acc[k] = c
+        else:
+            del acc[k]
+
+
+def _taylor(terms: dict[int, int], n: int, xi_num: Sequence[int]) -> list[dict[int, int]]:
+    """Divided directional derivatives T_r = D_xi^r f / r! of a numerator map.
+
+    f(x + t*xi) = sum_r t**r * T_r(x).  With integer xi every T_r has
+    integer coefficients, so each pass T_r = D_xi(T_{r-1}) // r is exact.
+    The list runs from T_0 = f to the last nonzero T_r.
+    """
+    steps = [(_unit(n, k), _BITS * (n - 1 - k), a) for k, a in enumerate(xi_num) if a]
+    out = [terms]
+    while True:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, c in out[-1].items():
+            for unit, shift, a in steps:
+                e = key >> shift & _MASK
+                if e:
+                    acc[key - unit] = get(key - unit, 0) + c * e * a
+        r = len(out)
+        acc = {k: c // r for k, c in acc.items() if c}
+        if not acc:
+            return out
+        out.append(acc)
 
 
 class Polynomial:
@@ -483,12 +523,7 @@ class Polynomial:
                 acc = _mul_terms(acc, lifted[depth])
                 part = parts.get(r)
                 if part is not None:
-                    for k, c in horner(part, depth + 1).items():
-                        c += acc.get(k, 0)
-                        if c:
-                            acc[k] = c
-                        else:
-                            del acc[k]
+                    _add_into(acc, horner(part, depth + 1))
             return acc
 
         return self._raw(n, horner(terms, 0), self._den * den**top)
@@ -714,6 +749,9 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
     Every generator beta goes to beta - (beta(xi)/form(xi)) * form, which is
     the identification of the form's kernel functions with functions on the
     annihilator of xi.  Requires form(xi) != 0.
+
+    On numerators, with S = a(xi): f(x - (a(x)/S) xi) = sum_r (-a(x)/S)**r T_r,
+    by Horner in -a(x) over S**K for the last Taylor index K.
     """
     n, a = f.n, form.covector._num
     s = sum(map(operator.mul, a, xi._num))
@@ -721,14 +759,14 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
         raise ValueError("form vanishes on xi; projection undefined")
     if s < 0:
         s, a = -s, [-ai for ai in a]
-    # on numerators, with S = sum a_i xi_i: x_k goes to (S x_k - xi_k sum_i a_i x_i) / S
-    units = [_unit(n, i) for i in range(n)]
-    images = {}
-    for k, xk in enumerate(xi._num):
-        if xk:
-            coefs = (s * (i == k) - xk * ai for i, ai in enumerate(a))
-            images[k] = Polynomial._raw(n, {u: c for u, c in zip(units, coefs) if c}, s)
-    return f.substitute(images)
+    minus_a = {_unit(n, i): -ai for i, ai in enumerate(a) if ai}
+    taylor = _taylor(f._terms, n, xi._num)
+    acc, lift = taylor[-1], 1
+    for part in reversed(taylor[:-1]):
+        acc = _mul_terms(acc, minus_a)
+        lift *= s
+        _add_into(acc, part, lift)
+    return Polynomial._raw(n, acc, f._den * lift)
 
 
 @dataclass(frozen=True)
@@ -830,112 +868,53 @@ def _coerce_forms(alphas: Sequence[LinearForm | Covector | Iterable]) -> list[Li
     return out
 
 
-def _canonical_residue_basis(xi: Vector) -> tuple[Covector, list[Covector]]:
-    """Complement basis for the annihilator of xi.
-
-    x is the scaled coordinate covector with x(xi) = 1 at the first index
-    where xi is nonzero; the y's are the remaining coordinate covectors
-    corrected to kill xi.
-    """
-    coords = xi.coords
-    j = next((i for i, c in enumerate(coords) if c), None)
-    if j is None:
-        raise ValueError("xi must be nonzero")
-    n = xi.n
-    x = Covector(tuple(1 / coords[j] if i == j else 0 for i in range(n)))
-    ys = []
-    for k in range(n):
-        if k == j:
-            continue
-        ek = Covector(tuple(int(i == k) for i in range(n)))
-        ys.append(ek - x.scaled(coords[k]))
-    return x, ys
-
-
-def _validate_residue_basis(xi: Vector, basis: tuple[Covector, Sequence[Covector]]):
-    x, ys = basis
-    if pair(x, xi) != 1:
-        raise ValueError("basis covector x must satisfy x(xi) = 1")
-    for y in ys:
-        if pair(y, xi) != 0:
-            raise ValueError("complement covectors must annihilate xi")
-    rows = [list(x.coords)] + [list(y.coords) for y in ys]
-    if len(rows) != xi.n or linalg.rank(rows, xi.n) != xi.n:
-        raise ValueError("residue basis must span the dual space")
-    return x, list(ys)
-
-
-def _residue_series(
-    f: Polynomial,
-    forms: Sequence[LinearForm],
-    xi: Vector,
-    basis: tuple[Covector, Sequence[Covector]] | None = None,
-) -> Polynomial:
+def _residue_series(f: Polynomial, forms: Sequence[LinearForm], xi: Vector) -> Polynomial:
     """Coefficient of 1/x in the geometric-series expansion of f / prod(alpha).
 
-    Works in internal coordinates where slot 0 is x and slots 1..n-1 are a
-    basis of the annihilator of xi; the result is re-expanded into ambient
-    coordinates, where it lies in the subring of functions killed by xi.
+    With j the first nonzero index of xi, write a point as x*xi + y with
+    y_j = 0.  Then f = sum_r x**r G_r(y), G_r the Taylor term T_r at x_j = 0,
+    and alpha_i = m_i x + alpha_i(y) with m_i = alpha_i(xi), so the residue
+    is R = sum_r G_r h_{r-d+1}(beta) / prod m_i for beta_i = -alpha_i(y)/m_i,
+    h_m the complete homogeneous symmetric polynomials.  Back in ambient
+    coordinates, y = x - (x_j/xi_j) xi gives sum_r (-x_j/xi_j)**r T_r(R),
+    and R has no x_j, so that is key shifts.  On integer numerators u of
+    xi, with M_i = alpha_i(u) and L = lcm(M_i), the betas are c_i / L for
+    c_i = -(L/M_i) alpha_i(y); every scalar waits for one division at the end.
     """
-    n = f.n
-    if basis is None:
-        x, ys = _canonical_residue_basis(xi)
-    else:
-        x, ys = _validate_residue_basis(xi, basis)
-    matrix = [list(col) for col in zip(*(c.coords for c in [x] + ys))]
-    inverse = linalg.invert(matrix)
-    if inverse is None:
-        raise ValueError("residue basis is singular")
-
-    # coordinates of ambient e_k* in the (x, y) basis are column k of M^{-1}
-    images = {k: Polynomial.from_covector(Covector(col)) for k, col in enumerate(zip(*inverse))}
-    F = f.substitute(images)
-
-    d = len(forms)
-    ms = []
-    betas = []
-    for form in forms:
-        alpha = form.covector
-        m = pair(alpha, xi)
-        coords = [
-            sum((r * a for r, a in zip(row, alpha._num) if a), Fraction(0)) / alpha._den
-            for row in inverse
-        ]
-        ms.append(m)
-        betas.append(Polynomial.from_covector(Covector([0] + [-c / m for c in coords[1:]])))
-
-    parts = F.split_by_variable(0)
-    top = max(parts) if parts else 0
-    mmax = top - d + 1
+    n, d, u = f.n, len(forms), xi._num
+    j = next((i for i, c in enumerate(u) if c), None)
+    if j is None:
+        raise ValueError("xi must be nonzero")
+    mmax = f.total_degree() - d + 1
     if mmax < 0:
         return Polynomial.zero(n)
-    series = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * mmax
-    for beta in betas:
-        powers = [Polynomial.constant(n, 1)]
-        for _ in range(mmax):
-            powers.append(powers[-1] * beta)
-        new = [Polynomial.zero(n) for _ in range(mmax + 1)]
-        for a in range(mmax + 1):
-            if series[a].is_zero():
-                continue
-            for b in range(mmax + 1 - a):
-                new[a + b] = new[a + b] + series[a] * powers[b]
-        series = new
-    result = Polynomial.zero(n)
-    for r, part in parts.items():
-        m = r - d + 1
-        if 0 <= m <= mmax:
-            result = result + part * series[m]
-    scale = Fraction(1)
-    for m in ms:
-        scale /= m
-    result = result.scaled(scale)
-
-    # back to ambient coordinates: slot 0 never survives, slots >= 1 expand
-    back = {0: Polynomial.zero(n)}
-    for b in range(1, n):
-        back[b] = Polynomial.from_covector(ys[b - 1])
-    return result.substitute(back)
+    ms = [sum(map(operator.mul, form.covector._num, u)) for form in forms]
+    lcm = math.lcm(*ms)
+    # series[a] = L**a h_a(beta) = h_a(c_1 .. c_i) after form i, by h_a += c_i h_{a-1} upwards
+    series = [{0: 1}] + [{} for _ in range(mmax)]
+    for form, m in zip(forms, ms):
+        c = {_unit(n, i): -(lcm // m) * ai for i, ai in enumerate(form.covector._num)
+             if ai and i != j}
+        if c:
+            for a in range(1, mmax + 1):
+                _add_into(series[a], _mul_terms(series[a - 1], c))
+    shift = _BITS * (n - 1 - j)
+    taylor = _taylor(f._terms, n, u)
+    q: dict[int, int] = {}  # R * den(f) * prod M_i * L**mmax / (den(xi) * prod den(alpha_i))
+    for r in range(max(d - 1, 0), min(len(taylor), mmax + d)):
+        g = {k: c for k, c in taylor[r].items() if not k >> shift & _MASK}
+        _add_into(q, _mul_terms(g, series[r - d + 1]), lcm ** (mmax + d - 1 - r))
+    back, w = _taylor(q, n, u), -u[j]
+    top = len(back) - 1
+    scale = xi._den * math.prod(form.covector._den for form in forms)
+    den = f._den * math.prod(ms) * lcm**mmax * w**top
+    if den < 0:
+        den, scale = -den, -scale
+    out, uj = {}, _unit(n, j)
+    for r, t in enumerate(back):
+        factor = scale * w ** (top - r)
+        out.update({k + r * uj: c * factor for k, c in t.items()})
+    return Polynomial._raw(n, out, den)
 
 
 def _residue_formula(
@@ -949,7 +928,7 @@ def _residue_formula(
     n = f.n
     for i, j in itertools.combinations(range(len(forms)), 2):
         if forms[i].parallel_to(forms[j]):
-            raise ValueError("formula method needs pairwise independent forms")
+            raise InputError("formula method needs pairwise independent forms")
     terms = []
     for i, fi in enumerate(forms):
         m_i = fi.evaluate(xi)
@@ -976,13 +955,12 @@ def residue(
     alphas: Sequence[LinearForm | Covector | Iterable],
     xi: Vector,
     method: str = "series",
-    basis: tuple[Covector, Sequence[Covector]] | None = None,
 ) -> Polynomial:
     """Residue of f / prod(alpha_i) along xi, as an ambient polynomial.
 
     The result lies in the subring of polynomials in covectors annihilating
-    xi and is independent of the internal complement-basis choice.  Every
-    alpha_i must be nonzero on xi.
+    xi; it does not depend on a choice of complement to xi.  Every alpha_i
+    must be nonzero on xi.
     """
     forms = _coerce_forms(alphas)
     if f.n != xi.n or any(form.n != xi.n for form in forms):
@@ -991,7 +969,7 @@ def residue(
         if form.evaluate(xi) == 0:
             raise ValueError(f"denominator {idx} vanishes on xi")
     if method == "series":
-        return _residue_series(f, forms, xi, basis)
+        return _residue_series(f, forms, xi)
     if method == "formula":
         return _residue_formula(f, forms, xi)
     raise ValueError(f"unknown residue method {method!r}")

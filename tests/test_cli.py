@@ -320,6 +320,27 @@ def test_zero_residue_covector_exits_2(capsys, tmp_path):
     assert captured.out == "" and "--alpha" in captured.err
 
 
+def test_level_on_a_vertex_exits_2(capsys, cp2_file, one_file):
+    # phi is (0, -1, -2) on vertices 1, 2, 3 for xi = (1, 2)
+    code = main(["jk", cp2_file, "--class", one_file, "--xi", "1,2", "--c=0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "error: c must avoid the vertex levels\n"
+
+
+def test_formula_residue_over_parallel_forms_exits_2(capsys, tmp_path):
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"exp": [2, 0], "coef": "1"}]}))
+    argv = ["residue", "--poly", str(poly), "--alpha", "1,0", "--alpha", "1,0", "--xi", "1,2"]
+    assert main(argv + ["--method", "series"]) == 0
+    capsys.readouterr()
+    code = main(argv + ["--method", "formula"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: formula method needs pairwise independent forms\n"
+
+
 def test_parallel_cycle_covectors_exit_2(capsys):
     code = main(["cycle", "--count", "4", "--a1", "1,0", "--a2", "2,0"])
     captured = capsys.readouterr()

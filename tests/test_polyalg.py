@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 
-from gkmcalc import chern_class, is_class
+from gkmcalc import chern_class, is_class, linalg
 from gkmcalc.cohomology import thom_class_vertex
 from gkmcalc.polyalg import (
     MAX_DEGREE,
@@ -21,6 +22,7 @@ from gkmcalc.polyalg import (
     LocalizedTerm,
     Polynomial,
     Vector,
+    _unit,
     as_fraction,
     divides_exactly,
     graded_dim,
@@ -287,8 +289,8 @@ def test_residue_is_independent_of_the_complement_basis():
     default = residue(f, forms, xi)
     basis_a = (Covector((1, 0)), [Covector((2, -1))])
     basis_b = (Covector((-1, 1)), [Covector((-4, 2))])
-    assert residue(f, forms, xi, basis=basis_a) == default
-    assert residue(f, forms, xi, basis=basis_b) == default
+    assert _horner_residue_series(f, forms, xi, basis=basis_a) == default
+    assert _horner_residue_series(f, forms, xi, basis=basis_b) == default
 
 
 def test_residue_rejects_bad_inputs():
@@ -658,7 +660,7 @@ def test_coordinate_spellings_and_rejections():
 # --- linear normal forms on covectors -----------------------------------------
 
 
-def _unit(n, i):
+def _unit_exp(n, i):
     return tuple(int(t == i) for t in range(n))
 
 
@@ -666,7 +668,7 @@ def _assert_normal_form_matches(cov, form):
     got = reduce_covector_mod_line(cov, form)
     want = reduce_mod_line(Polynomial.from_covector(cov), form)
     assert type(got) is Covector and got.n == cov.n
-    assert got.coords == tuple(want.coefficient(_unit(cov.n, i)) for i in range(cov.n))
+    assert got.coords == tuple(want.coefficient(_unit_exp(cov.n, i)) for i in range(cov.n))
     assert Polynomial.from_covector(got) == want
     assert got[form.pivot()] == 0
     return got
@@ -717,7 +719,7 @@ def test_simplify_builds_each_canonical_line_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(LinearForm, "canonical_polynomial", counting)
-    x, y, z = (Covector(_unit(3, i)) for i in range(3))
+    x, y, z = (Covector(_unit_exp(3, i)) for i in range(3))
     forms = [LinearForm(c) for c in (x, y, x - y, (y + z).scaled(2), z)]
     one = Polynomial.constant(3, 1)
     terms = [
@@ -961,3 +963,207 @@ def test_from_json_spellings_and_limits():
     with pytest.raises(InputError, match="65535"):
         Polynomial.from_json({"n": 2, "terms": [{"exp": [40000, 30000], "coef": "1"}]})
     assert Polynomial.from_json({"n": 0, "terms": []}) == Polynomial.zero(0)
+
+
+# --- the Taylor kernel against the frozen Horner routes -----------------------
+# Verbatim copies of project_along and _residue_series (with its complement
+# basis) as they were before both moved onto the integer Taylor kernel: a
+# general linear substitution through Polynomial.substitute, and a Fraction
+# basis inverse.
+
+
+def _horner_project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
+    """Push f into the subring annihilating xi using the form's direction.
+
+    Every generator beta goes to beta - (beta(xi)/form(xi)) * form, which is
+    the identification of the form's kernel functions with functions on the
+    annihilator of xi.  Requires form(xi) != 0.
+    """
+    n, a = f.n, form.covector._num
+    s = sum(map(operator.mul, a, xi._num))
+    if s == 0:
+        raise ValueError("form vanishes on xi; projection undefined")
+    if s < 0:
+        s, a = -s, [-ai for ai in a]
+    # on numerators, with S = sum a_i xi_i: x_k goes to (S x_k - xi_k sum_i a_i x_i) / S
+    units = [_unit(n, i) for i in range(n)]
+    images = {}
+    for k, xk in enumerate(xi._num):
+        if xk:
+            coefs = (s * (i == k) - xk * ai for i, ai in enumerate(a))
+            images[k] = Polynomial._raw(n, {u: c for u, c in zip(units, coefs) if c}, s)
+    return f.substitute(images)
+
+
+def _canonical_residue_basis(xi: Vector) -> tuple[Covector, list[Covector]]:
+    """Complement basis for the annihilator of xi.
+
+    x is the scaled coordinate covector with x(xi) = 1 at the first index
+    where xi is nonzero; the y's are the remaining coordinate covectors
+    corrected to kill xi.
+    """
+    coords = xi.coords
+    j = next((i for i, c in enumerate(coords) if c), None)
+    if j is None:
+        raise ValueError("xi must be nonzero")
+    n = xi.n
+    x = Covector(tuple(1 / coords[j] if i == j else 0 for i in range(n)))
+    ys = []
+    for k in range(n):
+        if k == j:
+            continue
+        ek = Covector(tuple(int(i == k) for i in range(n)))
+        ys.append(ek - x.scaled(coords[k]))
+    return x, ys
+
+
+def _validate_residue_basis(xi: Vector, basis: tuple[Covector, Sequence[Covector]]):
+    x, ys = basis
+    if pair(x, xi) != 1:
+        raise ValueError("basis covector x must satisfy x(xi) = 1")
+    for y in ys:
+        if pair(y, xi) != 0:
+            raise ValueError("complement covectors must annihilate xi")
+    rows = [list(x.coords)] + [list(y.coords) for y in ys]
+    if len(rows) != xi.n or linalg.rank(rows, xi.n) != xi.n:
+        raise ValueError("residue basis must span the dual space")
+    return x, list(ys)
+
+
+def _horner_residue_series(
+    f: Polynomial,
+    forms: Sequence[LinearForm],
+    xi: Vector,
+    basis: tuple[Covector, Sequence[Covector]] | None = None,
+) -> Polynomial:
+    """Coefficient of 1/x in the geometric-series expansion of f / prod(alpha).
+
+    Works in internal coordinates where slot 0 is x and slots 1..n-1 are a
+    basis of the annihilator of xi; the result is re-expanded into ambient
+    coordinates, where it lies in the subring of functions killed by xi.
+    """
+    n = f.n
+    if basis is None:
+        x, ys = _canonical_residue_basis(xi)
+    else:
+        x, ys = _validate_residue_basis(xi, basis)
+    matrix = [list(col) for col in zip(*(c.coords for c in [x] + ys))]
+    inverse = linalg.invert(matrix)
+    if inverse is None:
+        raise ValueError("residue basis is singular")
+
+    # coordinates of ambient e_k* in the (x, y) basis are column k of M^{-1}
+    images = {k: Polynomial.from_covector(Covector(col)) for k, col in enumerate(zip(*inverse))}
+    F = f.substitute(images)
+
+    d = len(forms)
+    ms = []
+    betas = []
+    for form in forms:
+        alpha = form.covector
+        m = pair(alpha, xi)
+        coords = [
+            sum((r * a for r, a in zip(row, alpha._num) if a), Fraction(0)) / alpha._den
+            for row in inverse
+        ]
+        ms.append(m)
+        betas.append(Polynomial.from_covector(Covector([0] + [-c / m for c in coords[1:]])))
+
+    parts = F.split_by_variable(0)
+    top = max(parts) if parts else 0
+    mmax = top - d + 1
+    if mmax < 0:
+        return Polynomial.zero(n)
+    series = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * mmax
+    for beta in betas:
+        powers = [Polynomial.constant(n, 1)]
+        for _ in range(mmax):
+            powers.append(powers[-1] * beta)
+        new = [Polynomial.zero(n) for _ in range(mmax + 1)]
+        for a in range(mmax + 1):
+            if series[a].is_zero():
+                continue
+            for b in range(mmax + 1 - a):
+                new[a + b] = new[a + b] + series[a] * powers[b]
+        series = new
+    result = Polynomial.zero(n)
+    for r, part in parts.items():
+        m = r - d + 1
+        if 0 <= m <= mmax:
+            result = result + part * series[m]
+    scale = Fraction(1)
+    for m in ms:
+        scale /= m
+    result = result.scaled(scale)
+
+    # back to ambient coordinates: slot 0 never survives, slots >= 1 expand
+    back = {0: Polynomial.zero(n)}
+    for b in range(1, n):
+        back[b] = Polynomial.from_covector(ys[b - 1])
+    return result.substitute(back)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def directions(draw):
+    """n = 1..4 and a nonzero xi, often with zero leading coordinates (pivot j > 0)."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.integers(0, n - 1))
+    tail = draw(st.lists(small, min_size=n - lead - 1, max_size=n - lead - 1))
+    return n, Vector((0,) * lead + (draw(small.filter(bool)),) + tuple(tail))
+
+
+def _off_xi(cov, xi):
+    """The covector, moved off xi's hyperplane along the pivot of xi if it lies on it."""
+    if pair(cov, xi):
+        return cov
+    j = next(i for i, c in enumerate(xi) if c)
+    return cov + Covector(tuple(int(i == j) for i in range(xi.n)))
+
+
+@st.composite
+def polynomials(draw, n, degree):
+    """Zero for degree -1, else a term of that degree and up to five terms below it."""
+    if degree < 0:
+        return Polynomial.zero(n)
+
+    def monomial(size):
+        return st.lists(st.integers(0, n - 1), min_size=size, max_size=degree).map(
+            lambda idx: tuple(idx.count(i) for i in range(n)))
+
+    lead = (draw(monomial(degree)), draw(small.filter(bool)))
+    return Polynomial(n, [lead] + draw(st.lists(st.tuples(monomial(0), small), max_size=5)))
+
+
+@st.composite
+def residue_cases(draw):
+    """Non-primitive rational forms, some repeated or parallel; deg f from -1 to d + 4."""
+    n, xi = draw(directions())
+    forms = [LinearForm(_off_xi(Covector(draw(st.lists(small, min_size=n, max_size=n))), xi))
+             for _ in range(draw(st.integers(0, 4)))]
+    if forms and draw(st.booleans()):
+        forms.append(LinearForm(forms[0].covector.scaled(draw(small.filter(bool)))))
+    f = draw(polynomials(n, draw(st.integers(-1, len(forms) + 4))))
+    return f, forms, xi
+
+
+@seed(20261018)
+@settings(max_examples=250, deadline=None)
+@given(residue_cases())
+def test_residue_series_matches_the_horner_route(case):
+    f, forms, xi = case
+    got, want = residue(f, forms, xi), _horner_residue_series(f, forms, xi)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@seed(20261018)
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_project_along_matches_the_horner_route(data):
+    n, xi = data.draw(directions())
+    cov = _off_xi(Covector(data.draw(st.lists(small, min_size=n, max_size=n))), xi)
+    f = data.draw(polynomials(n, data.draw(st.integers(-1, 7))))
+    got, want = project_along(f, LinearForm(cov), xi), _horner_project_along(f, LinearForm(cov), xi)
+    assert got == want and got.to_json() == want.to_json()
