@@ -89,13 +89,6 @@ class CohClass:
         q = as_fraction(q)
         return CohClass(self.degree, {v: f.scaled(q) for v, f in self.values.items()})
 
-    def times_poly(self, h: Polynomial) -> "CohClass":
-        """Module action of a homogeneous ambient polynomial."""
-        d = h.homogeneous_degree()
-        if d is None:
-            d = 0
-        return CohClass(self.degree + d, {v: h * f for v, f in self.values.items()})
-
     def __pow__(self, k: int) -> "CohClass":
         if k < 0:
             raise ValueError("negative power")

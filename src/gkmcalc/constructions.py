@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .gkm_core import ConnectionMap, GkmPair, ValidationReport, validate_axial
-from .polyalg import Covector, InputError, LinearForm
+from .polyalg import Covector, InputError, LinearForm, parallel_pairs
 
 
 def _coerce_covectors(alphas: Sequence) -> list[Covector]:
@@ -41,14 +41,12 @@ def complete_graph(alphas: Sequence[Covector | Iterable]) -> GkmPair:
             if j != i and cov[i] == cov[j]:
                 raise InputError(f"points {i + 1} and {j + 1} coincide")
     for i in range(N):
-        diffs = [(j, LinearForm(cov[i] - cov[j])) for j in range(N) if j != i]
-        for a in range(len(diffs)):
-            for b in range(a + 1, len(diffs)):
-                if diffs[a][1].parallel_to(diffs[b][1]):
-                    raise ValueError(
-                        "differences at vertex "
-                        f"{i + 1} toward {diffs[a][0] + 1} and {diffs[b][0] + 1} are parallel"
-                    )
+        others = [j for j in range(N) if j != i]
+        for a, b in parallel_pairs([LinearForm(cov[i] - cov[j]) for j in others]):
+            raise ValueError(
+                f"differences at vertex {i + 1} toward {others[a] + 1} "
+                f"and {others[b] + 1} are parallel"
+            )
 
     names = [str(i + 1) for i in range(N)]
     edges = []
@@ -145,14 +143,12 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
             if j != i and alphas[i] == alphas[j]:
                 raise ValueError(f"axial values toward {qs[i]!r} and {qs[j]!r} coincide")
     for i in range(d):
-        diffs = [(j, LinearForm(alphas[j] - alphas[i])) for j in range(d) if j != i]
-        for a in range(len(diffs)):
-            for b in range(a + 1, len(diffs)):
-                if diffs[a][1].parallel_to(diffs[b][1]):
-                    raise ValueError(
-                        f"blow-up at {p0!r}: differences toward {qs[diffs[a][0]]!r} "
-                        f"and {qs[diffs[b][0]]!r} relative to {qs[i]!r} are parallel"
-                    )
+        others = [j for j in range(d) if j != i]
+        for a, b in parallel_pairs([LinearForm(alphas[j] - alphas[i]) for j in others]):
+            raise ValueError(
+                f"blow-up at {p0!r}: differences toward {qs[others[a]]!r} "
+                f"and {qs[others[b]]!r} relative to {qs[i]!r} are parallel"
+            )
 
     ps = [f"{p0}#{i + 1}" for i in range(d)]
     index_of = {q: i for i, q in enumerate(qs)}

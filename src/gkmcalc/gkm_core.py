@@ -15,6 +15,7 @@ raise GraphFormatError at construction time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +25,7 @@ from .polyalg import (
     LinearForm,
     Vector,
     pair as pairing,
+    parallel_pairs,
     reduce_covector_mod_line,
 )
 
@@ -34,7 +36,7 @@ class GraphFormatError(InputError):
     """Structurally malformed graph data, as opposed to an axiom violation."""
 
 
-class AmbiguousConnection(Exception):
+class AmbiguousConnection(ArithmeticError):
     """Star residues repeat along an edge, so inference cannot pick a unique map."""
 
     def __init__(self, oriented_edge: OrientedEdge):
@@ -45,7 +47,7 @@ class AmbiguousConnection(Exception):
         self.oriented_edge = oriented_edge
 
 
-class NoConnection(Exception):
+class NoConnection(ArithmeticError):
     """No residue-compatible star bijection exists; the axial data is inconsistent."""
 
     def __init__(self, oriented_edge: OrientedEdge, at: str):
@@ -172,6 +174,7 @@ class GkmPair:
                 ax[(q, p)] = -ax[(p, q)]
         self.axial: dict[OrientedEdge, Covector] = ax
         self._form_cache: dict[OrientedEdge, LinearForm] = {}
+        self._residue_cache: dict[tuple[str, tuple[int, ...]], dict[str, Covector]] = {}
         self.connection = None if connection is None else _structural_connection(self, connection)
 
     # --- structure ------------------------------------------------------
@@ -215,12 +218,6 @@ class GkmPair:
     def star_forms(self, p: str) -> list[tuple[str, LinearForm]]:
         return [(q, self.form(p, q)) for q in self.neighbors(p)]
 
-    def edge_index(self, p: str, q: str) -> int:
-        return self._edge_index[frozenset((p, q))]
-
-    def with_connection(self, connection) -> "GkmPair":
-        return GkmPair(self.n, self.vertices, self.edges, self.axial, connection)
-
     def __eq__(self, other) -> bool:
         """Equality as labeled data: orderings of vertices and edges are ignored."""
         if not isinstance(other, GkmPair):
@@ -241,7 +238,9 @@ class GkmPair:
 
     def to_json(self) -> dict:
         edges_json = []
+        record = {}  # connection indices name positions in the 'edges' array
         for p, q in self.edges:
+            record[frozenset((p, q))] = len(edges_json)
             forward = self.axial[(p, q)]
             edges_json.append({"ends": [p, q], "alpha": [str(c) for c in forward.coords]})
             backward = self.axial[(q, p)]
@@ -254,7 +253,7 @@ class GkmPair:
                 m = self.connection[(p, q)]
                 inner: dict[str, int] = {}
                 for r in self.neighbors(p):
-                    inner[str(self.edge_index(p, r))] = self.edge_index(q, m[r])
+                    inner[str(record[frozenset((p, r))])] = record[frozenset((q, m[r]))]
                 conn_json[f"{p}->{q}"] = inner
             out["connection"] = conn_json
         return out
@@ -383,28 +382,19 @@ def _structural_connection(pair: GkmPair, connection) -> ConnectionMap:
 # --- axiom validation ----------------------------------------------------
 
 
-def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> list[tuple[str, Covector]]:
-    return [(r, reduce_covector_mod_line(pair.axial_at(p, r), form)) for r in pair.neighbors(p)]
+def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> dict[str, Covector]:
+    """Star covectors at p reduced modulo the form's line, by neighbor.
 
-
-def _perfect_matching(adjacent: list[list[int]], nright: int) -> list[int] | None:
-    """Deterministic augmenting-path matching; returns right-to-left map or None."""
-    match_right = [-1] * nright
-
-    def try_assign(i: int, seen: set[int]) -> bool:
-        for j in adjacent[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_right[j] == -1 or try_assign(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(adjacent)):
-        if not try_assign(i, set()):
-            return None
-    return match_right
+    Memoised on the pair per (p, line): the reduction reads only the form's
+    canonical covector, so both orientations of an edge share one table.
+    """
+    key = (p, form.canonical)
+    got = pair._residue_cache.get(key)
+    if got is None:
+        got = pair._residue_cache[key] = {
+            r: reduce_covector_mod_line(pair.axial_at(p, r), form) for r in pair.neighbors(p)
+        }
+    return got
 
 
 def validate_axial(pair: GkmPair) -> ValidationReport:
@@ -413,9 +403,11 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
     Violations are reported, never raised, so deliberately broken inputs can
     be inspected.  The residue-matching check ("1.18") asks for a perfect
     matching between the two stars of each edge under agreement of normal
-    forms modulo the edge form, computed on the covectors themselves; it is
-    skipped for edges whose end degrees already differ, since the valence
-    report covers those.
+    forms modulo the edge form.  Agreement is an equivalence relation, so
+    such a matching exists exactly when the two stars carry the same
+    multiset of residues, which is what is compared.  The check is skipped
+    for edges whose end degrees already differ, since the valence report
+    covers those.
     """
     violations: list[Violation] = []
     degs = pair.degrees()
@@ -430,15 +422,10 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
 
     for p in pair.vertices:
         star = pair.star_forms(p)
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                if star[i][1].parallel_to(star[j][1]):
-                    violations.append(
-                        Violation(
-                            "1.17",
-                            {"vertex": p, "edges": [[p, star[i][0]], [p, star[j][0]]]},
-                        )
-                    )
+        for a, b in parallel_pairs([form for _, form in star]):
+            violations.append(
+                Violation("1.17", {"vertex": p, "edges": [[p, star[a][0]], [p, star[b][0]]]})
+            )
 
     for p, q in pair.edges:
         if degs[p] != degs[q]:
@@ -446,10 +433,7 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
         form = pair.form(p, q)
         left = _star_residues(pair, p, form)
         right = _star_residues(pair, q, form)
-        adjacent = [
-            [j for j, (_, w) in enumerate(right) if w == v] for _, v in left
-        ]
-        if _perfect_matching(adjacent, len(right)) is None:
+        if Counter(left.values()) != Counter(right.values()):
             violations.append(Violation("1.18", {"edge": [p, q]}))
 
     return ValidationReport(violations, valence)
@@ -467,15 +451,15 @@ def infer_connection(pair: GkmPair) -> ConnectionMap:
     for p, q in pair.oriented_edges():
         form = pair.form(p, q)
         left = _star_residues(pair, p, form)
-        right = _star_residues(pair, q, form)
-        for i in range(len(left)):
-            for j in range(i + 1, len(left)):
-                if left[i][1] == left[j][1]:
-                    raise AmbiguousConnection((p, q))
+        if len(set(left.values())) < len(left):
+            raise AmbiguousConnection((p, q))
+        targets: dict[Covector, list[str]] = {}
+        for s, w in _star_residues(pair, q, form).items():
+            targets.setdefault(w, []).append(s)
         m: dict[str, str] = {}
-        for r, value in left:
-            hits = [s for s, w in right if w == value]
-            if not hits:
+        for r, value in left.items():
+            hits = targets.get(value)
+            if hits is None:
                 raise NoConnection((p, q), r)
             if len(hits) > 1:
                 raise AmbiguousConnection((p, q))
@@ -494,12 +478,12 @@ def validate_connection(pair: GkmPair, connection) -> ValidationReport:
             violations.append(Violation("1.32", {"edge": [p, q]}))
         back = conn[(q, p)]
         form = pair.form(p, q)
+        left = _star_residues(pair, p, form)
+        right = _star_residues(pair, q, form)
         for r, s in m.items():
             if back.get(s) != r:
                 violations.append(Violation("1.33", {"edge": [p, q], "maps": [r, s]}))
-            lhs = reduce_covector_mod_line(pair.axial_at(p, r), form)
-            rhs = reduce_covector_mod_line(pair.axial_at(q, s), form)
-            if lhs != rhs:
+            if left[r] != right[s]:
                 violations.append(Violation("1.34", {"edge": [p, q], "maps": [r, s]}))
     degs = set(pair.degrees().values())
     return ValidationReport(violations, degs.pop() if len(degs) == 1 else None)

@@ -637,6 +637,14 @@ class LinearForm:
         return f"LinearForm({self.covector!r})"
 
 
+def parallel_pairs(forms: Sequence[LinearForm]) -> list[tuple[int, int]]:
+    """Index pairs a < b of parallel forms, in lexicographic order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, form in enumerate(forms):
+        groups.setdefault(form.canonical, []).append(i)
+    return sorted(ab for group in groups.values() for ab in itertools.combinations(group, 2))
+
+
 def graded_dim(n: int, k: int) -> int:
     """Dimension of the degree-k piece of a polynomial ring in n variables."""
     if n < 1:
@@ -926,9 +934,8 @@ def _residue_formula(
     the projected denominators alpha#_{j,i} nonzero.
     """
     n = f.n
-    for i, j in itertools.combinations(range(len(forms)), 2):
-        if forms[i].parallel_to(forms[j]):
-            raise InputError("formula method needs pairwise independent forms")
+    if parallel_pairs(forms):
+        raise InputError("formula method needs pairwise independent forms")
     terms = []
     for i, fi in enumerate(forms):
         m_i = fi.evaluate(xi)

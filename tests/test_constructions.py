@@ -31,8 +31,10 @@ def test_complete_graph_rejects_degenerate_points():
         complete_graph([])
     with pytest.raises(ValueError):
         complete_graph([(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^differences at vertex 1 toward 2 and 3 are parallel$"):
         complete_graph([(0, 0), (1, 0), (2, 0)])  # collinear
+    with pytest.raises(ValueError, match="^differences at vertex 1 toward 3 and 4 are parallel$"):
+        complete_graph([(0, 0), (1, 0), (0, 1), (0, 2)])
     with pytest.raises(ValueError):
         complete_graph([(0, 0), (1,)])
 
@@ -102,7 +104,8 @@ def test_blow_up_rejects_bad_input(cp2):
         [("a", "b"), ("a", "c"), ("a", "d")],
         {("a", "b"): (0, 1), ("a", "c"): (1, 0), ("a", "d"): (2, -1)},
     )
-    with pytest.raises(ValueError):
+    message = "^blow-up at 'a': differences toward 'c' and 'd' relative to 'b' are parallel$"
+    with pytest.raises(ValueError, match=message):
         blow_up(star, "a")
 
 

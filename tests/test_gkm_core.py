@@ -1,6 +1,7 @@
 """Axiom validation, connection inference, and graph surgery."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from gkmcalc.gkm_core import (
     subgraph_gamma_h,
     subpair,
 )
-from gkmcalc.polyalg import Covector, Polynomial, reduce_mod_line
+from gkmcalc.polyalg import Covector, Polynomial, reduce_covector_mod_line, reduce_mod_line
 
 
 def _axioms(report):
@@ -236,6 +237,13 @@ def _scaled_copy(pair, edge, q, both=True):
     return GkmPair(pair.n, pair.vertices, pair.edges, axial, pair.connection)
 
 
+def test_json_round_trip_keeps_the_connection_of_a_one_sided_axial_value(cp2):
+    # the reverse record shifts later positions in the 'edges' array
+    pair = _scaled_copy(cp2, cp2.edges[0], Fraction(3, 2), both=False)
+    assert len(pair.to_json()["edges"]) == len(pair.edges) + 1
+    assert GkmPair.from_json(pair.to_json()) == pair
+
+
 def _swapped_connection(pair, edge):
     """The pair's connection with two targets of one oriented edge's map swapped."""
     conn = {e: dict(m) for e, m in pair.connection.items()}
@@ -284,12 +292,18 @@ def test_axiom_checks_match_the_polynomial_normal_form(family, cp2, gamma4, cycl
         ("cp2-corrupt", cp2, [{**cp2.connection.maps, ("1", "2"): {"2": "3", "3": "1"}}]),
     ]
     shipped = _axiom_outcomes(cases + broken)
-    monkeypatch.setattr(
-        gkm_core,
-        "reduce_covector_mod_line",
-        lambda cov, form: reduce_mod_line(Polynomial.from_covector(cov), form),
-    )
-    assert _axiom_outcomes(cases + broken) == shipped
+    # residue tables are memoised per pair, so the oracle pass needs fresh pairs
+    fresh = [(name, GkmPair.from_json(pair.to_json()), conns) for name, pair, conns in cases + broken]
+    calls = []
+
+    def oracle(cov, form):
+        calls.append(form)
+        f = reduce_mod_line(Polynomial.from_covector(cov), form)
+        return Covector([f.coefficient(tuple(int(t == i) for t in range(f.n))) for i in range(f.n)])
+
+    monkeypatch.setattr(gkm_core, "reduce_covector_mod_line", oracle)
+    assert _axiom_outcomes(fresh) == shipped
+    assert calls
     # the comparison covers passing and failing checks and both exception types
     kinds = {o[0] if isinstance(o, tuple) else "ok" for _, _, o in shipped}
     assert {"ok", AmbiguousConnection, NoConnection} <= kinds
@@ -300,3 +314,129 @@ def test_axiom_checks_match_the_polynomial_normal_form(family, cp2, gamma4, cycl
         for v in o["violations"]
     }
     assert {"1.16", "1.18", "1.32", "1.33", "1.34"} <= flagged
+
+
+# --- residue matching against the augmenting-path matcher it replaced ---------
+
+
+def _perfect_matching(adjacent: list[list[int]], nright: int) -> list[int] | None:
+    """Deterministic augmenting-path matching; returns right-to-left map or None."""
+    match_right = [-1] * nright
+
+    def try_assign(i: int, seen: set[int]) -> bool:
+        for j in adjacent[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_right[j] == -1 or try_assign(match_right[j], seen):
+                match_right[j] = i
+                return True
+        return False
+
+    for i in range(len(adjacent)):
+        if not try_assign(i, set()):
+            return None
+    return match_right
+
+
+def _residues(pair, v, form):
+    return [reduce_covector_mod_line(pair.axial_at(v, r), form) for r in pair.neighbors(v)]
+
+
+def _matching_violations(pair):
+    """The 1.18 violations as the matcher finds them, in edge order."""
+    degs = pair.degrees()
+    out = []
+    for p, q in pair.edges:
+        if degs[p] != degs[q]:
+            continue
+        form = pair.form(p, q)
+        left, right = _residues(pair, p, form), _residues(pair, q, form)
+        adjacent = [[j for j, w in enumerate(right) if w == v] for v in left]
+        if _perfect_matching(adjacent, len(right)) is None:
+            out.append({"axiom": "1.18", "witness": {"edge": [p, q]}})
+    return out
+
+
+def _repeated_residue_pairs(seed, count):
+    """Small pairs with coordinates in -2..2, so star residues often repeat."""
+    rng = random.Random(seed)
+    shapes = [
+        (["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "4")]),
+        (["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]),
+        (["a", "b", "c", "x", "y", "z"], [(u, v) for u in "abc" for v in "xyz"]),
+    ]
+    out = []
+    while len(out) < count:
+        vertices, edges = rng.choice(shapes)
+        n = rng.choice((2, 3))
+
+        def cov():
+            while True:
+                c = Covector([rng.randint(-2, 2) for _ in range(n)])
+                if not c.is_zero():
+                    return c
+
+        axial = {}
+        for p, q in edges:
+            axial[(p, q)] = cov()
+            axial[(q, p)] = -axial[(p, q)] if rng.random() < 0.8 else cov()
+        out.append(GkmPair(n, vertices, edges, axial))
+    return out
+
+
+def _k4_with_star_residues(a_toward_3, a_toward_4, b_toward_3, b_toward_4):
+    """K4 in the plane with axial(1 -> 2) = x and the given stars at 1 and 2."""
+    axial = {("1", "2"): (1, 0), ("3", "4"): (1, 1)}
+    axial.update({("1", "3"): a_toward_3, ("1", "4"): a_toward_4})
+    axial.update({("2", "3"): b_toward_3, ("2", "4"): b_toward_4})
+    edges = [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "4")]
+    return GkmPair(2, ["1", "2", "3", "4"], edges, axial)
+
+
+def test_residue_multisets_agree_with_the_matching_oracle():
+    # residues modulo x along 1-2: {0, 0, y} against {0, y, y}, then {0, y, y} on both sides
+    unequal = _k4_with_star_residues((2, 0), (0, 1), (1, 1), (0, 1))
+    equal = _k4_with_star_residues((2, 1), (0, 1), (1, 1), (0, 1))
+    flagged = {False: 0, True: 0}
+    for pair in [unequal, equal] + _repeated_residue_pairs(seed=18, count=300):
+        report = validate_axial(pair).to_json()
+        expected = [v for v in report["violations"] if v["axiom"] != "1.18"]
+        expected += _matching_violations(pair)
+        assert report["violations"] == expected
+        for p, q in pair.edges:
+            stars = [_residues(pair, v, pair.form(p, q)) for v in (p, q)]
+            if any(len(set(star)) < len(star) for star in stars) and len(stars[0]) == len(stars[1]):
+                flagged[{"axiom": "1.18", "witness": {"edge": [p, q]}} in expected] += 1
+    assert {"axiom": "1.18", "witness": {"edge": ["1", "2"]}} in _matching_violations(unequal)
+    assert {"axiom": "1.18", "witness": {"edge": ["1", "2"]}} not in _matching_violations(equal)
+    # edges with repeated residues occur both with and without a matching
+    assert flagged[False] > 0 and flagged[True] > 0
+
+
+def test_residue_reductions_are_shared_across_the_checks(monkeypatch):
+    pair = GkmPair.from_json(complete_graph([(t, t * t, t ** 3) for t in range(1, 6)]).to_json())
+    calls = []
+
+    def counting(cov, form):
+        calls.append(form)
+        return reduce_covector_mod_line(cov, form)
+
+    monkeypatch.setattr(gkm_core, "reduce_covector_mod_line", counting)
+    assert validate_axial(pair).ok
+    assert validate_connection(pair, pair.connection).ok
+    try:
+        infer_connection(pair)
+    except AmbiguousConnection:
+        pass
+    # one reduction per star covector at each end of each edge: 2 |E| d
+    assert len(calls) == 2 * len(pair.edges) * pair.valence == 80
+
+
+def test_connection_errors_are_arithmetic_errors():
+    with pytest.raises(ArithmeticError) as info:
+        infer_connection(_square_with_residue_mismatch())
+    assert isinstance(info.value, NoConnection)
+    assert info.value.oriented_edge == ("1", "2") and info.value.at == "4"
+    err = AmbiguousConnection(("1", "5"))
+    assert isinstance(err, ArithmeticError) and err.oriented_edge == ("1", "5")

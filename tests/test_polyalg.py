@@ -30,6 +30,7 @@ from gkmcalc.polyalg import (
     is_polynomial_via_residues,
     monomials,
     pair,
+    parallel_pairs,
     project_along,
     reduce_covector_mod_line,
     reduce_mod_line,
@@ -130,6 +131,9 @@ def test_linear_form_canonicalization():
     g = LinearForm(Covector((1, -2)))
     assert f.parallel_to(g) and g.parallel_to(f)
     assert not f.parallel_to(LinearForm(Covector((1, 1))))
+    forms = [LinearForm(Covector(c)) for c in ((1, 0), (0, 1), (2, 0), (0, -1), (1, 1), (-3, 0))]
+    assert parallel_pairs(forms) == [(0, 2), (0, 5), (1, 3), (2, 5)]
+    assert parallel_pairs(forms[:2]) == []
     assert f.canonical_covector() == Covector((1, -2))
     assert f.polynomial() == Polynomial(2, {(1, 0): -2, (0, 1): 4})
     five = LinearForm(Covector((0, 0, 5)))
