@@ -19,14 +19,13 @@ from .constructions import blow_up
 from .gkm_core import GkmPair, is_compatible_subobject, subpair
 from .polyalg import (
     InputError,
-    LinearForm,
     Monomial,
     Polynomial,
+    _reduction_table,
     as_fraction,
-    divides_exactly,
-    grlex_key,
     monomials,
     pack_monomial,
+    reduce_mod_line,
 )
 
 
@@ -162,7 +161,7 @@ def is_class(
     _common_degree(values)
     for p, q in pair.edges:
         diff = values[p] - values[q]
-        if divides_exactly(pair.form(p, q), diff) is None:
+        if not reduce_mod_line(diff, pair.form(p, q)).is_zero():
             return False, (p, q)
     return True, None
 
@@ -173,32 +172,6 @@ def as_class(pair: GkmPair, values: Mapping[str, Polynomial]) -> CohClass:
     if not ok:
         raise ValueError(f"not a class: incompatible across edge {witness}")
     return CohClass(_common_degree(values), dict(values))
-
-
-def _reduction_table(form: LinearForm, k: int, mons: list[Monomial]) -> list[list[tuple]]:
-    """Per reduced monomial (graded-lex descending), its (monomial index, coefficient) pairs.
-
-    With c the form's canonical covector, j its pivot and
-    rho = -sum_{i != j} c_i x_i, c_j**k times x**e mod the form is
-    c_j**(k - e_j) * x**e' * rho**e_j, e' being e with e_j = 0.
-    """
-    c, j, n = form.canonical, form.pivot(), form.n
-    rho = {tuple(int(t == i) for t in range(n)): -x for i, x in enumerate(c) if i != j and x}
-    powers = [{(0,) * n: 1}]
-    for _ in range(k):
-        power: dict[Monomial, int] = {}
-        for e1, a in powers[-1].items():
-            for e2, b in rho.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                power[e] = power.get(e, 0) + a * b
-        powers.append(power)
-    by_exp: dict[Monomial, list[tuple[int, int]]] = {}
-    for mi, m in enumerate(mons):
-        scale, rest = c[j] ** (k - m[j]), m[:j] + (0,) + m[j + 1 :]
-        for e, x in powers[m[j]].items():
-            exp = tuple(a + b for a, b in zip(rest, e))
-            by_exp.setdefault(exp, []).append((mi, scale * x))
-    return [by_exp[e] for e in sorted(by_exp, key=grlex_key, reverse=True)]
 
 
 def compatibility_rows(pair: GkmPair, k: int) -> tuple[list[dict[int, int]], list[Monomial]]:

@@ -642,15 +642,8 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
                 )
                 continue
             for comp, _ in components:
-                beta0 = 0
-                for v in comp.vertices:
-                    sigma_v = sum(
-                        1
-                        for q in comp.neighbors(v)
-                        if pairing(comp.axial_at(v, q), xi) < 0
-                    )
-                    if sigma_v == 0:
-                        beta0 += 1
+                # xi is a chamber witness of the whole pair, so no edge of comp is on a wall
+                beta0 = betti(comp, xi)[0]
                 if beta0 != 1:
                     min_failures.append(
                         {

@@ -16,9 +16,14 @@ stored like polynomials, as integer numerators over one positive
 denominator in lowest terms, and hand out ``Fraction``s.  A
 ``LinearForm`` couples a nonzero covector with its canonical primitive
 integer representative (first nonzero coordinate positive), which is how
-parallelism of denominators is detected exactly.  Normal forms modulo a
-form are taken on polynomials, and on covectors directly when the
-argument is itself linear.
+parallelism of denominators is detected exactly.  Division by a form's
+line has one kernel, ``_divide_by_line``: synthetic division on integer
+numerators that returns quotient, remainder and lift.  Exact division
+(``divides_exactly``) is its quotient when the remainder vanishes, and
+the normal form modulo the form (``reduce_mod_line``) is its remainder.
+The compatibility rows of the class ring (``_reduction_table``) write
+that normal form in closed form per monomial, and linear arguments are
+reduced on covectors directly (``reduce_covector_mod_line``).
 
 The residue of ``f / prod(alpha_i)`` along a direction ``xi`` is
 implemented twice, by a truncated geometric-series expansion and by a
@@ -473,11 +478,6 @@ class Polynomial:
 
     # --- structure ----------------------------------------------------
 
-    def split_by_variable(self, j: int) -> dict[int, "Polynomial"]:
-        """Write self = sum_r x_j^r * part[r] with x_j absent from each part."""
-        parts = _split(self._terms, self.n, j)
-        return {r: self._raw(self.n, t, self._den) for r, t in parts.items()}
-
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Ring morphism sending x_i to images[i] (default: itself).
 
@@ -672,33 +672,77 @@ def monomials(n: int, k: int) -> list[Monomial]:
     return out
 
 
+def _divide_by_line(
+    terms: dict[int, int], n: int, form: LinearForm
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """Synthetic division of a numerator map by the form's canonical line.
+
+    Returns (quotient, remainder, lift) with lift * f = line * quotient +
+    remainder, where c is the canonical covector, line = sum_i c_i x_i,
+    j is the pivot, K the degree of f in x_j and lift = c_j**K; x_j does
+    not appear in the remainder.  Walking the x_j-levels of the lifted f
+    from K down to 1, each surviving term a*x**e gives the quotient term
+    (a / c_j)*x**(e - e_j) as an exact int division and sends
+    -(a / c_j)*c_i*x**(e - e_j + e_i) to the level below for every other
+    nonzero c_i.  Level 0 is the remainder.
+    """
+    if not terms:
+        return {}, {}, 1
+    c, j = form.canonical, form.pivot()
+    cj, uj = c[j], _unit(n, j)
+    others = [(_unit(n, i), ci) for i, ci in enumerate(c) if ci and i != j]
+    levels = _split(terms, n, j)
+    top = max(levels)
+    lift = cj**top
+    levels = {r: {e: a * lift for e, a in t.items()} for r, t in levels.items()}
+    quotient: dict[int, int] = {}
+    for r in range(top, 0, -1):
+        below = levels.setdefault(r - 1, {})
+        for e, a in levels[r].items():
+            if not a:
+                continue
+            b = a // cj
+            quotient[e + (r - 1) * uj] = b
+            for ui, ci in others:
+                below[e + ui] = below.get(e + ui, 0) - b * ci
+    return quotient, {e: a for e, a in levels[0].items() if a}, lift
+
+
 def reduce_mod_line(f: Polynomial, form: LinearForm) -> Polynomial:
     """Canonical normal form of f modulo the ideal generated by the form.
 
     The pivot variable (highest-index nonzero canonical coordinate) is
     eliminated by solving the form for it, so the result mentions only the
     remaining variables.  This realizes restriction to the form's kernel.
+    It is the remainder of ``_divide_by_line`` over the lift.
     """
     if f.n != form.n:
         raise ValueError("ring dimension mismatch")
-    j = form.pivot()
-    c = form.canonical
-    rep_terms = {}
-    for i, ci in enumerate(c):
-        if i != j and ci:
-            exp = tuple(1 if t == i else 0 for t in range(f.n))
-            rep_terms[exp] = Fraction(-ci, c[j])
-    rep = Polynomial(f.n, rep_terms)
-    parts = f.split_by_variable(j)
-    out = Polynomial.zero(f.n)
-    power = Polynomial.constant(f.n, 1)
-    for r in range(max(parts) + 1 if parts else 0):
-        if r:
-            power = power * rep
-        part = parts.get(r)
-        if part is not None:
-            out = out + part * power
-    return out
+    _, remainder, lift = _divide_by_line(f._terms, f.n, form)
+    if lift < 0:
+        remainder, lift = {e: -a for e, a in remainder.items()}, -lift
+    return Polynomial._raw(f.n, remainder, f._den * lift)
+
+
+def _reduction_table(form: LinearForm, k: int, mons: Sequence[Monomial]) -> list[list[tuple]]:
+    """Per reduced monomial (graded-lex descending), its (monomial index, coefficient) pairs.
+
+    With c the form's canonical covector, j its pivot and
+    rho = -sum_{i != j} c_i x_i, c_j**k times x**e mod the form is
+    c_j**(k - e_j) * x**e' * rho**e_j, e' being e with e_j = 0.  The rows
+    are keyed by packed monomials, so descending keys are graded-lex order.
+    """
+    c, j, n = form.canonical, form.pivot(), form.n
+    rho = {_unit(n, i): -x for i, x in enumerate(c) if i != j and x}
+    powers = [{0: 1}]
+    for _ in range(k):
+        powers.append(_mul_terms(powers[-1], rho))
+    by_key: dict[int, list[tuple[int, int]]] = {}
+    for mi, m in enumerate(mons):
+        scale, rest = c[j] ** (k - m[j]), pack_monomial(m[:j] + (0,) + m[j + 1:])
+        for key, x in powers[m[j]].items():
+            by_key.setdefault(rest + key, []).append((mi, scale * x))
+    return [by_key[key] for key in sorted(by_key, reverse=True)]
 
 
 def reduce_covector_mod_line(cov: Covector, form: LinearForm) -> Covector:
@@ -717,36 +761,13 @@ def reduce_covector_mod_line(cov: Covector, form: LinearForm) -> Covector:
 def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
     """Quotient f / form when the division is exact, else None.
 
-    Synthetic division on integer numerators: with c the canonical
-    covector, j its pivot and K the degree of f in x_j, the numerators are
-    lifted by c_j**K so that, walking the x_j-levels from K down to 1, each
-    surviving term a*x**e gives the quotient term (a / c_j)*x**(e - e_j) as
-    an exact int division and sends -(a / c_j)*c_i*x**(e - e_j + e_i) to
-    the level below for every other nonzero c_i.  A nonzero remainder at
-    level 0 means the form does not divide f.
+    The quotient of ``_divide_by_line`` when its remainder is zero, over
+    the lift and the form's scale.
     """
     if f.n != form.n:
         raise ValueError("ring dimension mismatch")
-    if f.is_zero():
-        return Polynomial.zero(f.n)
-    n, c, j = f.n, form.canonical, form.pivot()
-    cj, uj = c[j], _unit(n, j)
-    others = [(_unit(n, i), ci) for i, ci in enumerate(c) if ci and i != j]
-    levels = _split(f._terms, n, j)
-    top = max(levels)
-    lift = cj**top
-    levels = {r: {e: a * lift for e, a in t.items()} for r, t in levels.items()}
-    quotient: dict[int, int] = {}
-    for r in range(top, 0, -1):
-        below = levels.setdefault(r - 1, {})
-        for e, a in levels[r].items():
-            if not a:
-                continue
-            b = a // cj
-            quotient[e + (r - 1) * uj] = b
-            for ui, ci in others:
-                below[e + ui] = below.get(e + ui, 0) - b * ci
-    if any(levels[0].values()):
+    quotient, remainder, lift = _divide_by_line(f._terms, f.n, form)
+    if remainder:
         return None
     return Polynomial._raw(f.n, quotient).scaled(1 / (f._den * lift * form.scale))
 
@@ -990,78 +1011,46 @@ def residue_partial_fractions(
 
     ``f_coeffs`` lists the coefficients of f by ascending power of x; the
     z's must be pairwise distinct ring elements whose pairwise differences
-    are either all constants or all homogeneous linear forms.
+    are either all constants or all homogeneous linear forms.  Plain
+    rationals are lifted into the ring of the first polynomial argument, or
+    into the ring in no variables when there is none, and then the answer
+    comes back as a ``Fraction``.
     """
-    polys = [c for c in list(f_coeffs) + list(zs) if isinstance(c, Polynomial)]
-    if polys:
-        n = polys[0].n
-        lift = lambda v: v if isinstance(v, Polynomial) else Polynomial.constant(n, v)
-        coeffs = [lift(c) for c in f_coeffs]
-        zvals = [lift(z) for z in zs]
-    else:
-        coeffs = [as_fraction(c) for c in f_coeffs]
-        zvals = [as_fraction(z) for z in zs]
-
-    def feval(z):
-        total = None
-        for r, c in enumerate(coeffs):
-            piece = c * z**r if r else c
-            total = piece if total is None else total + piece
-        if total is None:
-            return zvals[0] * 0
-        return total
-
+    polys = [c for c in (*f_coeffs, *zs) if isinstance(c, Polynomial)]
+    n = polys[0].n if polys else 0
+    lift = lambda v: v if isinstance(v, Polynomial) else Polynomial.constant(n, v)
+    coeffs, zvals = [lift(c) for c in f_coeffs], [lift(z) for z in zs]
     diffs = {}
     for i, j in itertools.combinations(range(len(zvals)), 2):
-        d = zvals[i] - zvals[j]
-        if (isinstance(d, Polynomial) and d.is_zero()) or (
-            not isinstance(d, Polynomial) and d == 0
-        ):
+        d = diffs[i, j] = zvals[i] - zvals[j]
+        if d.is_zero():
             raise ValueError(f"z values {i} and {j} coincide")
-        diffs[(i, j)] = d
-
-    if not polys:
-        total = Fraction(0)
-        for i, zi in enumerate(zvals):
-            den = Fraction(1)
-            for j, zj in enumerate(zvals):
-                if j != i:
-                    den *= zi - zj
-            total += feval(zi) / den
-        return total
-
-    degrees = set()
-    for d in diffs.values():
-        if not d.is_homogeneous():
-            raise ValueError("z differences must be constant or homogeneous linear")
-        degrees.add(d.total_degree())
-    if degrees <= {0}:
-        total = Polynomial.zero(n)
-        for i, zi in enumerate(zvals):
-            den = Fraction(1)
-            for j, zj in enumerate(zvals):
-                if j != i:
-                    den *= (zi - zj).coefficient((0,) * n)
-            total = total + feval(zi).scaled(1 / den)
-        return total
-    if degrees != {1}:
+    degrees = {d.total_degree() if d.is_homogeneous() else -1 for d in diffs.values()}
+    linear = degrees == {1}
+    if not (linear or degrees <= {0}):
         raise ValueError("z differences must be constant or homogeneous linear")
     terms = []
-    for i, zi in enumerate(zvals):
-        dens = []
+    for i, z in enumerate(zvals):
+        value = Polynomial.zero(n)
+        for c in reversed(coeffs):
+            value = value * z + c
+        scale, dens = Fraction(1), []
         for j in range(len(zvals)):
             if j == i:
                 continue
-            d = zvals[i] - zvals[j]
-            cov = Covector(tuple(d.coefficient(tuple(1 if t == b else 0 for t in range(n))) for b in range(n)))
-            dens.append(LinearForm(cov))
-        terms.append(LocalizedTerm(feval(zi), tuple(dens)))
+            d = diffs[i, j] if i < j else -diffs[j, i]
+            if linear:
+                num = tuple(d._terms.get(_unit(n, b), 0) for b in range(n))
+                dens.append(LinearForm(Covector._raw(num, d._den)))
+            else:
+                scale *= Fraction(d._terms[0], d._den)
+        terms.append(LocalizedTerm(value.scaled(1 / scale), tuple(dens)))
     numerator, denominators = simplify(LocalizedSum(n, tuple(terms)))
     if denominators:
         raise NonPolynomialResultError(
             "partial-fraction residue was not polynomial", numerator, denominators
         )
-    return numerator
+    return numerator if polys else numerator.coefficient(())
 
 
 def is_polynomial_via_residues(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from gkmcalc import chern_class, is_class, linalg
 from gkmcalc.cohomology import thom_class_vertex
@@ -22,6 +22,7 @@ from gkmcalc.polyalg import (
     LocalizedTerm,
     Polynomial,
     Vector,
+    _divide_by_line,
     _unit,
     as_fraction,
     divides_exactly,
@@ -322,6 +323,68 @@ def test_residue_partial_fractions_symbolic():
     assert got == y.scaled(6)
 
 
+def _partial_fraction_oracle(f_coeffs, zs, n):
+    """sum_i f(z_i) / prod_{j != i} (z_i - z_j) as the x**(d-1) coefficient of f mod prod(x - z_i)."""
+    x = sympy.Symbol("x")
+    lift = lambda v: (to_sympy(v).as_expr() if isinstance(v, Polynomial)
+                      else sympy.Rational(str(as_fraction(v))))
+    f = sum((lift(c) * x**r for r, c in enumerate(f_coeffs)), sympy.Integer(0))
+    rem = sympy.rem(f, sympy.prod([x - lift(z) for z in zs]), x)
+    return sympy.Poly(sympy.expand(rem).coeff(x, len(zs) - 1), *_gens(n), domain="QQ")
+
+
+def test_residue_partial_fractions_on_constant_polynomial_differences():
+    y0, y1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    base = y0 + y1.scaled(2)
+    one = Polynomial.constant(2, 1)
+    cases = [
+        ([y1, 3, y0 * y1, 1], [base, base + one, base - one.scaled(Fraction(1, 2))]),
+        ([y0, "1/2", y1, 0, y0 - y1], [base, base + one.scaled(4)]),
+        ([2, y0 * y0], [y0, y0 + one, y0 - one, y0 + one.scaled(3)]),
+        ([y0 * y1 * y1, Fraction(-2, 3)], [base, base + one]),
+    ]
+    for f_coeffs, zs in cases:
+        got = residue_partial_fractions(f_coeffs, zs)
+        assert type(got) is Polynomial and got.n == 2
+        assert_matches(got, _partial_fraction_oracle(f_coeffs, zs, 2))
+    # below the critical degree the residue is 0
+    assert residue_partial_fractions([y0, 1], [base, base + one, base + one.scaled(2)]).is_zero()
+    assert residue_partial_fractions([], [base, base + one]) == Polynomial.zero(2)
+
+
+def test_residue_partial_fractions_errors_in_order():
+    y = Polynomial.variable(2, 0)
+    with pytest.raises(InputError, match="bad rational '1/0'"):
+        residue_partial_fractions(["1/0"], [y, y])
+    with pytest.raises(ValueError, match="z values 0 and 2 coincide"):
+        residue_partial_fractions([1], [y, y * y, y])
+    with pytest.raises(ValueError, match="z values 1 and 2 coincide"):
+        residue_partial_fractions([1], [0, 1, 1])
+    with pytest.raises(ValueError, match="^z differences must be constant or homogeneous linear$"):
+        residue_partial_fractions([1], [y, y * y])
+    with pytest.raises(ValueError, match="^z differences must be constant or homogeneous linear$"):
+        residue_partial_fractions([1], [y * y, Polynomial.zero(2)])
+    with pytest.raises(ValueError, match="^z differences must be constant or homogeneous linear$"):
+        residue_partial_fractions([1], [y, y.scaled(2), 1])
+    with pytest.raises(TypeError):
+        residue_partial_fractions([0.5], [1, 2])
+
+
+def test_residue_partial_fractions_of_plain_rationals_is_a_fraction():
+    cases = [
+        ([0, 0, 1], [1, 2]),
+        (["1/2", -3, Fraction(5, 4), 2], ["1/3", 2, Fraction(-5, 2)]),
+        ([7], [0, 1]),
+        ([], [1, 2]),
+        ([Fraction(2, 3)], []),
+        ([1, 1], [Fraction(1, 7)]),
+    ]
+    for f_coeffs, zs in cases:
+        got = residue_partial_fractions(f_coeffs, zs)
+        want = _partial_fraction_oracle(f_coeffs, zs, 1).as_expr()
+        assert type(got) is Fraction and got == Fraction(int(want.p), int(want.q))
+
+
 def test_polynomiality_detector():
     alpha = LinearForm(Covector((1, 0)))
     xi = Vector((1, 0))
@@ -463,6 +526,42 @@ def test_zero_polynomial_and_the_empty_ring():
 # --- exact division against the frozen long division -------------------------
 
 
+def _split_by_variable(f, j):
+    """The former Polynomial.split_by_variable: f = sum_r x_j^r * part[r], x_j absent from each part."""
+    parts = {}
+    for exp, q in f.terms():
+        parts.setdefault(exp[j], {})[exp[:j] + (0,) + exp[j + 1:]] = q
+    return {r: Polynomial(f.n, t) for r, t in parts.items()}
+
+
+def _reduce_mod_line_oracle(f: Polynomial, form: LinearForm) -> Polynomial:
+    """The former reduce_mod_line, kept verbatim as an oracle.
+
+    The pivot variable is replaced by its solution of the form, one
+    power of that solution per power of the pivot.
+    """
+    if f.n != form.n:
+        raise ValueError("ring dimension mismatch")
+    j = form.pivot()
+    c = form.canonical
+    rep_terms = {}
+    for i, ci in enumerate(c):
+        if i != j and ci:
+            exp = tuple(1 if t == i else 0 for t in range(f.n))
+            rep_terms[exp] = Fraction(-ci, c[j])
+    rep = Polynomial(f.n, rep_terms)
+    parts = _split_by_variable(f, j)
+    out = Polynomial.zero(f.n)
+    power = Polynomial.constant(f.n, 1)
+    for r in range(max(parts) + 1 if parts else 0):
+        if r:
+            power = power * rep
+        part = parts.get(r)
+        if part is not None:
+            out = out + part * power
+    return out
+
+
 def _long_division_oracle(form, f):
     """The former divides_exactly, kept verbatim as an oracle.
 
@@ -479,7 +578,7 @@ def _long_division_oracle(form, f):
     quotient = Polynomial.zero(f.n)
     remainder = f
     while True:
-        parts = remainder.split_by_variable(j)
+        parts = _split_by_variable(remainder, j)
         top = max(parts) if parts else 0
         if top == 0:
             break
@@ -559,10 +658,61 @@ def test_divides_exactly_on_pivots_scales_and_one_variable():
     assert _assert_same_division(one, Polynomial.constant(1, 2)) is None
 
 
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(divisions())
+def test_reduce_mod_line_matches_the_substitution_oracle(case):
+    form, f, _ = case
+    got, want = reduce_mod_line(f, form), _reduce_mod_line_oracle(f, form)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@st.composite
+def line_divisions(draw):
+    """n = 1..4, a possibly non-primitive rational form and an integer numerator map."""
+    n = draw(st.integers(1, 4))
+    canonical = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    scale = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    form = LinearForm(Covector([scale * c for c in canonical]))
+    exps = st.lists(st.integers(0, n - 1), max_size=6).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
+    f = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=6))
+    return form, Polynomial(n, f)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(line_divisions())
+@example((LinearForm(Covector((1, -1))), Polynomial(2, {(0, 3): 1, (1, 1): -2})))
+@example((LinearForm(Covector((2, -4, 0))), Polynomial(3, {(0, 1, 2): 5, (1, 2, 0): 1})))
+@example((LinearForm(Covector((0, 3, 0, -6))), Polynomial(4, {(0, 0, 0, 3): 2, (1, 0, 1, 1): -1})))
+@example((LinearForm(Covector((Fraction(-5, 3),))), Polynomial(1, {(5,): 7})))
+@example((LinearForm(Covector((1, 2, 3))), Polynomial.zero(3)))
+def test_divide_by_line_is_a_division_with_remainder(case):
+    """lift * f = line * quotient + remainder on integer numerators, x_j absent from the remainder.
+
+    The examples pin a negative c_j with odd x_j-degree (c_j = -1, then -2
+    with lift -8), a non-primitive form whose pivot is not the last
+    coordinate, a rational form in one variable, and f = 0.
+    """
+    form, f = case
+    n, c = f.n, form.canonical
+    j = form.pivot()
+    quotient, remainder, lift = _divide_by_line(f._terms, n, form)
+    top = max((exp[j] for exp, _ in f.terms()), default=0)
+    assert lift == c[j] ** top
+    assert all(type(a) is int and a for t in (quotient, remainder) for a in t.values())
+    line = Polynomial(n, {_unit_exp(n, i): ci for i, ci in enumerate(c) if ci})
+    q, r = Polynomial._raw(n, quotient), Polynomial._raw(n, remainder)
+    assert f.scaled(f._den * lift) == line * q + r
+    assert all(exp[j] == 0 for exp, _ in r.terms())
+    assert (not remainder) == (_long_division_oracle(form, f) is not None)
+
+
 def _normal_form_oracle(pair, values):
     """is_class as it was: the first edge whose difference has a nonzero normal form."""
     for p, q in pair.edges:
-        if not reduce_mod_line(values[p] - values[q], pair.form(p, q)).is_zero():
+        if not _reduce_mod_line_oracle(values[p] - values[q], pair.form(p, q)).is_zero():
             return False, (p, q)
     return True, None
 
@@ -1073,7 +1223,7 @@ def _horner_residue_series(
         ms.append(m)
         betas.append(Polynomial.from_covector(Covector([0] + [-c / m for c in coords[1:]])))
 
-    parts = F.split_by_variable(0)
+    parts = _split_by_variable(F, 0)
     top = max(parts) if parts else 0
     mmax = top - d + 1
     if mmax < 0:
