@@ -10,11 +10,10 @@ of p0's neighbors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .gkm_core import ConnectionMap, GkmPair, ValidationReport, validate_axial
+from .gkm_core import GkmPair, ValidationReport, validate_axial
 from .polyalg import Covector, InputError, LinearForm, parallel_pairs
 
 
@@ -137,7 +136,7 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
     d = len(qs)
     if d < 1:
         raise ValueError("cannot blow up an isolated vertex")
-    alphas = [pair.axial_at(p0, q) for q in qs]
+    alphas = [pair.axial[(p0, q)] for q in qs]
     for i in range(d):
         for j in range(d):
             if j != i and alphas[i] == alphas[j]:

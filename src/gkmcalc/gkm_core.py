@@ -135,7 +135,7 @@ class GkmPair:
         vset = set(vs)
 
         edge_list: list[OrientedEdge] = []
-        seen: set[frozenset] = set()
+        self._edge_keys: set[frozenset] = set()
         adjacency: dict[str, list[str]] = {v: [] for v in vs}
         for e in edges:
             p, q = e
@@ -144,20 +144,19 @@ class GkmPair:
             if p == q:
                 raise GraphFormatError(f"loop at {p!r} not allowed")
             key = frozenset((p, q))
-            if key in seen:
+            if key in self._edge_keys:
                 raise GraphFormatError(f"duplicate edge between {p!r} and {q!r}")
-            seen.add(key)
+            self._edge_keys.add(key)
             edge_list.append((p, q))
             adjacency[p].append(q)
             adjacency[q].append(p)
         self.edges: tuple[OrientedEdge, ...] = tuple(edge_list)
         self._adjacency = {v: tuple(nb) for v, nb in adjacency.items()}
-        self._edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
 
         ax: dict[OrientedEdge, Covector] = {}
         for key, val in axial.items():
             p, q = key
-            if frozenset((p, q)) not in self._edge_index:
+            if frozenset((p, q)) not in self._edge_keys:
                 raise GraphFormatError(f"axial value given for a non-edge ({p!r}, {q!r})")
             cov = val if isinstance(val, Covector) else Covector(val)
             if cov.n != self.n:
@@ -503,7 +502,7 @@ def _normalize_subgraph(
     for e in sub_edges:
         p, q = e
         key = frozenset((p, q))
-        if key not in pair._edge_index:
+        if key not in pair._edge_keys:
             raise ValueError(f"({p!r}, {q!r}) is not an edge of the pair")
         if p not in vs or q not in vs:
             raise ValueError(f"subgraph edge ({p!r}, {q!r}) leaves the vertex set")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cohomology import CohClass
 from .gkm_core import GkmPair, OrientedEdge
@@ -23,14 +23,14 @@ from .polyalg import (
     LinearForm,
     LocalizedSum,
     LocalizedTerm,
-    NonPolynomialResultError,
     Polynomial,
     Vector,
     as_fraction,
     pair as pairing,
+    polynomial_sum,
     project_along,
+    project_covector,
     residue,
-    simplify,
 )
 
 
@@ -54,11 +54,9 @@ def integrate(pair: GkmPair, f: CohClass) -> Polynomial:
     class (or the pair invalid) and raises NonPolynomialResultError.
     """
     d = pair.valence
-    numerator, denominators = simplify(pushforward_localized_sum(pair, f))
-    if denominators:
-        raise NonPolynomialResultError(
-            "pushforward did not simplify to a polynomial", numerator, denominators
-        )
+    numerator = polynomial_sum(
+        pushforward_localized_sum(pair, f), "pushforward did not simplify to a polynomial"
+    )
     expected = f.degree - d
     if numerator.is_zero():
         return numerator
@@ -140,20 +138,23 @@ def _edge_term(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> Locali
     m_e = pairing(alpha_qe, xi)
     if m_e <= 0:
         raise IntegrityError(f"edge ({p!r}, {q!r}): lower-end pairing not positive")
-    alpha_pe = pair.axial_at(p, q)
-    m_p = pairing(alpha_pe, xi)
+    form = pair.form(p, q)
     sharps = []
     for r in pair.neighbors(p):
         if r == q:
             continue
-        beta = pair.axial_at(p, r)
-        sharp = beta - alpha_pe.scaled(pairing(beta, xi) / m_p)
+        sharp = project_covector(pair.axial_at(p, r), form, xi)
         if sharp.is_zero():
             raise ValueError(
                 f"projected star form vanishes on edge ({p!r}, {q!r}) toward {r!r}"
             )
         sharps.append(LinearForm(sharp))
     return LocalizedTerm(value.scaled(Fraction(1) / m_e), tuple(sharps))
+
+
+def _vertex_residue(pair: GkmPair, f: CohClass, p: str, xi: Vector) -> Polynomial:
+    """Series residue of f(p) over the star forms of p along xi."""
+    return residue(f.value(p), [form for _, form in pair.star_forms(p)], xi)
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,10 @@ def jk_pushforward(
         if term is None:
             term = memo[(p, q)] = _edge_term(pair, cut.xi, f, p, q)
         terms.append(term)
-    numerator, denominators = simplify(LocalizedSum(pair.n, tuple(terms)))
-    if denominators:
-        raise NonPolynomialResultError(
-            "cross-section pushforward did not simplify to a polynomial",
-            numerator,
-            denominators,
-        )
+    numerator = polynomial_sum(
+        LocalizedSum(pair.n, tuple(terms)),
+        "cross-section pushforward did not simplify to a polynomial",
+    )
     expected = f.degree - d + 1
     if not numerator.is_zero() and (
         expected < 0 or numerator.homogeneous_degree() != expected
@@ -208,11 +206,7 @@ def jk_pushforward(
     per_vertex: dict[str, Polynomial] = {}
     total = Polynomial.zero(pair.n)
     for p in below:
-        if _residues is not None:
-            res = _residues[p]
-        else:
-            alphas = [pair.axial_at(p, q) for q in pair.neighbors(p)]
-            res = residue(f.value(p), alphas, cut.xi, method="series")
+        res = _residues[p] if _residues is not None else _vertex_residue(pair, f, p, cut.xi)
         per_vertex[p] = res
         total = total + res
     if total != numerator:
@@ -241,9 +235,7 @@ def wall_crossing_step(
     hi = jk_pushforward(pair, cut_hi, f, _terms=terms).polynomial
     lo = jk_pushforward(pair, cut_lo, f, _terms=terms).polynomial
     diff = hi - lo
-    alphas = [pair.axial_at(p_r, q) for q in pair.neighbors(p_r)]
-    expected = residue(f.value(p_r), alphas, cut_hi.xi, method="series")
-    if diff != expected:
+    if diff != _vertex_residue(pair, f, p_r, cut_hi.xi):
         raise IntegrityError(f"wall-crossing difference at {p_r!r} mismatches its residue")
     return diff
 
@@ -264,10 +256,7 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
         levels.append((phi[ordered[i]] + phi[ordered[i + 1]]) / 2)
     levels.append(phi[ordered[-1]] + 1)
 
-    residues = {}
-    for p in pair.vertices:
-        alphas = [pair.axial_at(p, q) for q in pair.neighbors(p)]
-        residues[p] = residue(f.value(p), alphas, xi, method="series")
+    residues = {p: _vertex_residue(pair, f, p, xi) for p in pair.vertices}
 
     terms: dict[OrientedEdge, LocalizedTerm] = {}
     results = []

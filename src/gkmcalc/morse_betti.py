@@ -13,6 +13,7 @@ bounds rest on.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 import operator
@@ -80,49 +81,29 @@ def orient(pair: GkmPair, xi) -> Orientation:
     return Orientation(vec, tuple(pair.vertices), tuple(directed), sigma)
 
 
-def _upward_successors(orientation: Orientation) -> dict[str, list[str]]:
+def _upward_order(
+    orientation: Orientation,
+) -> tuple[dict[str, list[str]], list[str], list[str] | None]:
+    """Upward successors, every vertex after its successors, or a directed cycle.
+
+    graphlib reads the successor lists as predecessor lists, so its
+    topological order puts each vertex after all of its successors.  On a
+    directed cycle the order is empty and the third entry lists the
+    cycle's distinct vertices along the edges; graphlib reports it against
+    that direction, with its first vertex repeated at the end.
+    """
     succ: dict[str, list[str]] = {v: [] for v in orientation.vertices}
     for p, q in orientation.edges:
         succ[p].append(q)
-    return succ
-
-
-def _postorder(
-    vertices: Sequence[str], succ: Mapping[str, list[str]]
-) -> tuple[list[str], list[str] | None]:
-    """Iterative depth-first postorder, or the first directed cycle met.
-
-    Returns (postorder, None) on an acyclic graph and (partial postorder,
-    cycle vertices) as soon as an edge closes a cycle on the active path.
-    """
-    # 0 unvisited, 1 on the active path, 2 finished
-    state = {v: 0 for v in vertices}
-    post: list[str] = []
-    for start in vertices:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    break
-                if state[w] == 1:
-                    path = [u for u, _ in stack]
-                    return post, path[path.index(w):]
-            else:
-                state[v] = 2
-                post.append(v)
-                stack.pop()
-    return post, None
+    try:
+        return succ, list(graphlib.TopologicalSorter(succ).static_order()), None
+    except graphlib.CycleError as err:
+        return succ, [], err.args[1][:0:-1]
 
 
 def is_acyclic(orientation: Orientation) -> tuple[bool, list[str] | None]:
     """Directed-cycle test; on failure the witness lists the cycle's vertices."""
-    _, cycle = _postorder(orientation.vertices, _upward_successors(orientation))
+    cycle = _upward_order(orientation)[2]
     return cycle is None, cycle
 
 
@@ -130,38 +111,28 @@ def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
     """Injective vertex levels that increase along every upward edge.
 
     The base level of a vertex is minus the edge count of the longest
-    directed path out of it.  Tied vertices are then separated, in input
-    order, by adding i/(r+1) times half the minimal gap between distinct
-    base levels (half of one when there is a single level).  Both
+    directed path out of it.  A vertex whose longest path has L > 0 edges
+    has a successor at L - 1, so distinct base levels are 1 apart.  The r
+    vertices of a tied level are then separated, in input order, by adding
+    i/(2(r+1)) for i = 1..r, which stays below half that gap.  Both
     injectivity and the orientation inequality are rechecked exactly.
     """
     o = orient(pair, xi)
-    succ = _upward_successors(o)
-    post, cycle = _postorder(o.vertices, succ)
+    succ, order, cycle = _upward_order(o)
     if cycle is not None:
         raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
-    # longest path by postorder DP
     longest: dict[str, int] = {}
-    for v in post:
+    for v in order:
         longest[v] = max((longest[w] + 1 for w in succ[v]), default=0)
-
-    base = {v: Fraction(-longest[v]) for v in o.vertices}
-    levels = sorted(set(base.values()))
-    if len(levels) > 1:
-        gap = min(b - a for a, b in zip(levels, levels[1:]))
-        g = gap / 2
-    else:
-        g = Fraction(1, 2)
-    phi = dict(base)
-    groups: dict[Fraction, list[str]] = {}
+    phi = {v: Fraction(-longest[v]) for v in o.vertices}
+    groups: dict[int, list[str]] = {}
     for v in o.vertices:
-        groups.setdefault(base[v], []).append(v)
-    for level, members in groups.items():
-        if len(members) == 1:
-            continue
+        groups.setdefault(longest[v], []).append(v)
+    for members in groups.values():
         r = len(members)
-        for i, v in enumerate(members, start=1):
-            phi[v] = level + Fraction(i, r + 1) * g
+        if r > 1:
+            for i, v in enumerate(members, start=1):
+                phi[v] += Fraction(i, 2 * (r + 1))
     if len(set(phi.values())) != len(phi):
         raise ArithmeticError("level perturbation failed to separate vertices")
     for p, q in pair.edges:
@@ -412,12 +383,8 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
     classes = _axial_classes(pair)
     o1 = orient(pair, xi)
     o2 = orient(pair, xi2)
-    s1 = tuple(
-        1 if pairing(c.canonical_covector(), o1.xi) > 0 else -1 for c in classes
-    )
-    s2 = tuple(
-        1 if pairing(c.canonical_covector(), o2.xi) > 0 else -1 for c in classes
-    )
+    s1 = [sum(map(operator.mul, c.canonical, o1.xi._num)) > 0 for c in classes]
+    s2 = [sum(map(operator.mul, c.canonical, o2.xi._num)) > 0 for c in classes]
     diff = [i for i in range(len(classes)) if s1[i] != s2[i]]
     if len(diff) != 1:
         raise ValueError(
@@ -427,11 +394,10 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
     edge_reports = []
     touched: set[str] = set()
     edges_ok = True
-    for p, q in pair.edges:
+    for (p, q), (low, high) in zip(pair.edges, o1.edges):
         if pair.form(p, q).canonical != target:
             continue
         touched.update((p, q))
-        low, high = (p, q) if pairing(pair.axial_at(p, q), o1.xi) > 0 else (q, p)
         before = (o1.sigma[low], o1.sigma[high])
         after = (o2.sigma[low], o2.sigma[high])
         ok = before[1] == before[0] + 1 and after == (before[1], before[0])
@@ -532,9 +498,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     phi = positively_oriented_function(pair, xi)
     d = pair.valence
     n = pair.n
-    beta = [0] * (d + 1)
-    for v in pair.vertices:
-        beta[o.sigma[v]] += 1
+    beta = betti(pair, xi)
     class_covs = [c.canonical_covector() for c in _axial_classes(pair)]
     ideal_cache: dict[int, int] = {}
 

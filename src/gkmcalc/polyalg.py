@@ -33,9 +33,12 @@ xi on integer numerators.  Past it they stay independent.  The series
 route reads the expansion of f in the xi direction off the kernel and
 expands prod(1/alpha_i) through the complete homogeneous symmetric
 polynomials h_m; the formula route projects f along each form
-(``project_along``) and collapses the partial fractions with
-``simplify``.  The tests also pin both routes to frozen copies of their
-earlier general-substitution (Horner) versions.
+(``project_along``) and the other forms to their projected forms alpha#
+(``project_covector``), and collapses the partial fractions with
+``polynomial_sum``.  That is ``simplify`` for every sum that must come
+out polynomial: it raises ``NonPolynomialResultError`` when a
+denominator is left.  The tests also pin both routes to frozen copies of
+their earlier general-substitution (Horner) versions.
 """
 
 from __future__ import annotations
@@ -798,6 +801,19 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
     return Polynomial._raw(n, acc, f._den * lift)
 
 
+def project_covector(beta: Covector, form: LinearForm, xi: Vector) -> Covector:
+    """beta - (beta(xi)/form(xi)) * form, the projected form beta# along the form.
+
+    On numerators b of beta, a of the form and u of xi, with s = a.u and
+    t = b.u, it is (s*b - t*a) over den(beta) * s.  Requires form(xi) != 0.
+    """
+    a, b, u = form.covector._num, beta._num, xi._num
+    s, t = sum(map(operator.mul, a, u)), sum(map(operator.mul, b, u))
+    if s == 0:
+        raise ValueError("form vanishes on xi; projection undefined")
+    return Covector._raw(tuple(bi * s - t * ai for ai, bi in zip(a, b)), beta._den * s)
+
+
 @dataclass(frozen=True)
 class LocalizedTerm:
     """numerator / product(denominators), denominators nonzero linear forms."""
@@ -887,6 +903,18 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
     return numerator, tuple(denoms)
 
 
+def polynomial_sum(lsum: LocalizedSum, what: str) -> Polynomial:
+    """``simplify`` of a sum that must be a polynomial.
+
+    A leftover denominator raises ``NonPolynomialResultError`` with the
+    message ``what``, the numerator and the denominators.
+    """
+    numerator, denominators = simplify(lsum)
+    if denominators:
+        raise NonPolynomialResultError(what, numerator, denominators)
+    return numerator
+
+
 # --- residues ----------------------------------------------------------
 
 
@@ -959,23 +987,13 @@ def _residue_formula(
         raise InputError("formula method needs pairwise independent forms")
     terms = []
     for i, fi in enumerate(forms):
-        m_i = fi.evaluate(xi)
         ki = project_along(f, fi, xi)
-        dens = []
-        for j, fj in enumerate(forms):
-            if j == i:
-                continue
-            sharp = fj.covector - fi.covector.scaled(fj.evaluate(xi) / m_i)
-            dens.append(LinearForm(sharp))
-        terms.append(LocalizedTerm(ki.scaled(1 / m_i), tuple(dens)))
-    numerator, denominators = simplify(LocalizedSum(n, tuple(terms)))
-    if denominators:
-        raise NonPolynomialResultError(
-            "residue formula did not collapse to a polynomial",
-            numerator,
-            denominators,
-        )
-    return numerator
+        dens = [LinearForm(project_covector(fj.covector, fi, xi))
+                for j, fj in enumerate(forms) if j != i]
+        terms.append(LocalizedTerm(ki.scaled(1 / fi.evaluate(xi)), tuple(dens)))
+    return polynomial_sum(
+        LocalizedSum(n, tuple(terms)), "residue formula did not collapse to a polynomial"
+    )
 
 
 def residue(
@@ -1045,11 +1063,9 @@ def residue_partial_fractions(
             else:
                 scale *= Fraction(d._terms[0], d._den)
         terms.append(LocalizedTerm(value.scaled(1 / scale), tuple(dens)))
-    numerator, denominators = simplify(LocalizedSum(n, tuple(terms)))
-    if denominators:
-        raise NonPolynomialResultError(
-            "partial-fraction residue was not polynomial", numerator, denominators
-        )
+    numerator = polynomial_sum(
+        LocalizedSum(n, tuple(terms)), "partial-fraction residue was not polynomial"
+    )
     return numerator if polys else numerator.coefficient(())
 
 

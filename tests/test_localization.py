@@ -28,6 +28,7 @@ from gkmcalc.localization import (
     wall_crossing_step,
 )
 from gkmcalc.morse_betti import find_acyclic_xi, positively_oriented_function
+from gkmcalc.polyalg import Covector, LinearForm
 
 
 def test_pushforward_of_one_vanishes_on_every_fixture(family):
@@ -81,6 +82,33 @@ def test_non_class_input_fails_loudly(cp2):
         kirwan_map(cp2, cut, fake)
     with pytest.raises(IntegrityError, match="end values project differently"):
         jk_pushforward(cp2, cut, fake)
+
+
+def test_non_polynomial_results_carry_their_message_and_fraction(cp2, gamma5):
+    fake = CohClass(
+        1, {"1": Polynomial(2, {(1, 0): 1}), "2": Polynomial.zero(2), "3": Polynomial.zero(2)}
+    )
+    with pytest.raises(NonPolynomialResultError) as err:
+        integrate(cp2, fake)
+    assert str(err.value) == "pushforward did not simplify to a polynomial"
+    assert err.value.numerator == Polynomial.constant(2, 1)
+    assert err.value.denominators == (LinearForm(Covector((0, 1))),)
+    # The two vertices above the cut disagree modulo their edge; each one
+    # below agrees with both along its crossing edges, so the restriction
+    # check passes and the cross-section sum keeps a denominator.
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    fake = CohClass(1, {
+        "5": x, "4": Polynomial.zero(2), "3": 8 * x + 56 * y, "2": 7 * x + 42 * y,
+        "1": 6 * x + 30 * y,
+    })
+    xi = Vector((1, Fraction(-4, 3)))
+    cut = LevelCut(xi, positively_oriented_function(gamma5, xi), Fraction(-3, 2))
+    assert {p for p, _ in kirwan_map(gamma5, cut, fake)} == {"4", "5"}
+    with pytest.raises(NonPolynomialResultError) as err:
+        jk_pushforward(gamma5, cut, fake)
+    assert str(err.value) == "cross-section pushforward did not simplify to a polynomial"
+    assert err.value.numerator == Polynomial.constant(2, Fraction(-99, 16))
+    assert err.value.denominators == (LinearForm(Covector((4, 3))),) * 2
 
 
 def test_level_cut_validation(cp2):

@@ -33,7 +33,7 @@ from gkmcalc.morse_betti import (
     wall_crossing_check,
 )
 from gkmcalc import linalg
-from gkmcalc.polyalg import Covector, Polynomial, graded_dim, monomials
+from gkmcalc.polyalg import Covector, Polynomial, graded_dim, monomials, pair as pairing
 
 
 def _cyclic_triangle():
@@ -757,3 +757,155 @@ def test_ideal_hilbert_matches_the_dense_oracle():
                 for m in range(len(forms) - l + 4):
                     assert ideal_hilbert(forms, l, m) == _ideal_hilbert_oracle(forms, l, m), (
                         forms, l, m)
+
+
+# --- levels and acyclicity against the depth-first oracle -----------------------
+
+
+def _upward_successors(orientation):
+    succ: dict[str, list[str]] = {v: [] for v in orientation.vertices}
+    for p, q in orientation.edges:
+        succ[p].append(q)
+    return succ
+
+
+def _postorder(vertices, succ):
+    """Iterative depth-first postorder, or the first directed cycle met.
+
+    Returns (postorder, None) on an acyclic graph and (partial postorder,
+    cycle vertices) as soon as an edge closes a cycle on the active path.
+    """
+    # 0 unvisited, 1 on the active path, 2 finished
+    state = {v: 0 for v in vertices}
+    post: list[str] = []
+    for start in vertices:
+        if state[start]:
+            continue
+        stack = [(start, iter(succ[start]))]
+        state[start] = 1
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    break
+                if state[w] == 1:
+                    path = [u for u, _ in stack]
+                    return post, path[path.index(w):]
+            else:
+                state[v] = 2
+                post.append(v)
+                stack.pop()
+    return post, None
+
+
+def _positively_oriented_function_oracle(pair, xi):
+    """positively_oriented_function as it was: a depth-first postorder and a measured gap."""
+    o = orient(pair, xi)
+    succ = _upward_successors(o)
+    post, cycle = _postorder(o.vertices, succ)
+    if cycle is not None:
+        raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
+    # longest path by postorder DP
+    longest: dict[str, int] = {}
+    for v in post:
+        longest[v] = max((longest[w] + 1 for w in succ[v]), default=0)
+
+    base = {v: Fraction(-longest[v]) for v in o.vertices}
+    levels = sorted(set(base.values()))
+    if len(levels) > 1:
+        gap = min(b - a for a, b in zip(levels, levels[1:]))
+        g = gap / 2
+    else:
+        g = Fraction(1, 2)
+    phi = dict(base)
+    groups: dict[Fraction, list[str]] = {}
+    for v in o.vertices:
+        groups.setdefault(base[v], []).append(v)
+    for level, members in groups.items():
+        if len(members) == 1:
+            continue
+        r = len(members)
+        for i, v in enumerate(members, start=1):
+            phi[v] = level + Fraction(i, r + 1) * g
+    if len(set(phi.values())) != len(phi):
+        raise ArithmeticError("level perturbation failed to separate vertices")
+    for p, q in pair.edges:
+        if (phi[p] - phi[q]) * pairing(pair.axial_at(q, p), o.xi) <= 0:
+            raise ArithmeticError(f"levels not positively oriented on edge ({p}, {q})")
+    return phi
+
+
+def _mixed_triangle():
+    # a directed cycle exactly where x, y and x + y share a sign
+    return GkmPair(
+        2,
+        ["1", "2", "3"],
+        [("1", "2"), ("2", "3"), ("3", "1")],
+        {("1", "2"): (1, 0), ("2", "3"): (0, 1), ("3", "1"): (1, 1)},
+    )
+
+
+def _square_with_chord():
+    # upward along x: a -> b -> c -> d -> a and the chord a -> c, two directed cycles
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
+    return GkmPair(1, ["a", "b", "c", "d"], edges, {e: (1,) for e in edges})
+
+
+def _assert_directed_cycle(o, witness):
+    assert witness and len(set(witness)) == len(witness), witness
+    upward = set(o.edges)
+    for a, b in zip(witness, witness[1:] + witness[:1]):
+        assert (a, b) in upward, (witness, a, b)
+
+
+def _levels_outcome(fn, pair, xi):
+    try:
+        return fn(pair, xi)
+    except ValueError as exc:
+        # the cycle named may differ between the two traversals
+        return ValueError, str(exc).partition("cycle:")[0]
+
+
+def test_levels_match_the_depth_first_oracle(family):
+    rng = random.Random(20261019)
+    cyclic = 0
+    extra = [("mixed triangle", _mixed_triangle()), ("square with chord", _square_with_chord())]
+    for name, pair in family + extra:
+        xis = [] if name in dict(extra) else [find_acyclic_xi(pair)]
+        xis += [Vector(tuple(_random_rational(rng) for _ in range(pair.n))) for _ in range(12)]
+        for xi in xis:
+            got = _levels_outcome(positively_oriented_function, pair, xi)
+            assert got == _levels_outcome(_positively_oriented_function_oracle, pair, xi), name
+            if got == (ValueError, "orientation has a directed "):
+                cyclic += 1
+                _assert_directed_cycle(orient(pair, xi), is_acyclic(orient(pair, xi))[1])
+    assert cyclic > 10
+
+
+def test_acyclicity_matches_the_depth_first_oracle_on_every_chamber(family):
+    verdicts = set()
+    extra = [("cyclic triangle", _cyclic_triangle()), ("mixed triangle", _mixed_triangle()),
+             ("square with chord", _square_with_chord())]
+    for name, pair in family + extra:
+        for _, witness in _chamber_search(_axial_classes(pair), pair.n):
+            o = orient(pair, witness)
+            ok, cycle = is_acyclic(o)
+            assert ok == (_postorder(o.vertices, _upward_successors(o))[1] is None), name
+            if not ok:
+                _assert_directed_cycle(o, cycle)
+            verdicts.add((name, ok))
+    assert {("mixed triangle", True), ("mixed triangle", False)} <= verdicts
+
+
+def test_cycle_witness_on_the_square_with_a_chord():
+    pair = _square_with_chord()
+    o = orient(pair, Vector((1,)))
+    ok, witness = is_acyclic(o)
+    assert not ok
+    _assert_directed_cycle(o, witness)
+    _assert_directed_cycle(o, _postorder(o.vertices, _upward_successors(o))[1])
+    with pytest.raises(ValueError) as err:
+        positively_oriented_function(pair, Vector((1,)))
+    assert str(err.value) == "orientation has a directed cycle: " + " -> ".join(witness)

@@ -33,6 +33,7 @@ from gkmcalc.polyalg import (
     pair,
     parallel_pairs,
     project_along,
+    project_covector,
     reduce_covector_mod_line,
     reduce_mod_line,
     residue,
@@ -175,6 +176,42 @@ def test_project_along_kills_the_form_and_fixes_the_annihilator():
     assert project_along(ann, form, xi) == ann
     with pytest.raises(ValueError):
         project_along(ann, LinearForm(Covector((2, -1))), xi)
+
+
+def _project_covector_oracle(beta, form, xi):
+    """The projected form as the cross-section and residue formulas wrote it."""
+    alpha = form.covector
+    return beta - alpha.scaled(pair(beta, xi) / pair(alpha, xi))
+
+
+def test_project_covector_matches_the_fraction_oracle():
+    rng = random.Random(20261019)
+    rat = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    negative = parallel = 0
+    for n in range(1, 5):
+        for _ in range(80):
+            alpha = Covector(tuple(rat() for _ in range(n)))
+            xi = Vector(tuple(rat() for _ in range(n)))
+            if alpha.is_zero() or pair(alpha, xi) == 0:
+                continue
+            form = LinearForm(alpha)
+            beta = alpha.scaled(rat()) if rng.random() < 0.2 else Covector(
+                tuple(rat() for _ in range(n)))
+            got = project_covector(beta, form, xi)
+            assert got == _project_covector_oracle(beta, form, xi), (beta, alpha, xi)
+            assert pair(got, xi) == 0
+            along = beta.is_zero() or LinearForm(beta).parallel_to(form)
+            assert got.is_zero() == along
+            negative += pair(alpha, xi) < 0
+            parallel += along
+    assert negative > 20 and parallel > 20
+    # a form with denominators, negative on xi, and a parallel beta
+    form = LinearForm(Covector((Fraction(-1, 2), Fraction(2, 3))))
+    xi = Vector((3, Fraction(1, 4)))
+    assert project_covector(Covector((1, Fraction(-4, 3))), form, xi).is_zero()
+    assert project_covector(Covector((0, 1)), form, xi) == Covector((Fraction(-3, 32), Fraction(9, 8)))
+    with pytest.raises(ValueError, match="form vanishes on xi"):
+        project_covector(Covector((0, 1)), form, Vector((4, 3)))
 
 
 def test_simplify_clears_a_removable_denominator():
