@@ -221,8 +221,8 @@ def cmd_betti(args):
     xi = None if args.xi is None else _xi_from(args.xi, gpair)
     doc = dict(betti_invariance_check(gpair))
     if xi is not None:
-        doc["sigma"] = orient(gpair, xi).sigma
-        doc["bettiAtXi"] = betti(gpair, xi)
+        o = orient(gpair, xi)
+        doc["sigma"], doc["bettiAtXi"] = o.sigma, betti(gpair, o)
     return doc, doc["invariant"]
 
 

@@ -274,13 +274,7 @@ def is_symplectic(pair: GkmPair, c: CohClass) -> bool:
 
 def thom_class_vertex(pair: GkmPair, p: str) -> CohClass:
     """The degree-d class supported on p with value the product of p's star."""
-    d = pair.valence
-    prod = Polynomial.constant(pair.n, 1)
-    for q in pair.neighbors(p):
-        prod = prod * Polynomial.from_covector(pair.axial_at(p, q))
-    values = {v: Polynomial.zero(pair.n) for v in pair.vertices}
-    values[p] = prod
-    return CohClass(d, values)
+    return thom_class_subobject(pair, [p], [])
 
 
 def thom_class_subobject(

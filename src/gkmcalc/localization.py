@@ -98,16 +98,16 @@ class LevelCut:
                 raise ValueError(f"phi is not positively oriented on edge ({p!r}, {q!r})")
 
 
-def cross_section(pair: GkmPair, cut: LevelCut) -> list[OrientedEdge]:
+def _crossing_edges(pair: GkmPair, phi: Mapping[str, Fraction], c: Fraction) -> list[OrientedEdge]:
     """Edges crossing the level c, oriented upper vertex first, in input order."""
+    upward = [(p, q) if phi[p] > phi[q] else (q, p) for p, q in pair.edges]
+    return [(p, q) for p, q in upward if phi[p] > c > phi[q]]
+
+
+def cross_section(pair: GkmPair, cut: LevelCut) -> list[OrientedEdge]:
+    """The edges crossing a validated cut, oriented upper vertex first, in input order."""
     cut.validate(pair)
-    out = []
-    for p, q in pair.edges:
-        if cut.phi[p] > cut.c > cut.phi[q]:
-            out.append((p, q))
-        elif cut.phi[q] > cut.c > cut.phi[p]:
-            out.append((q, p))
-    return out
+    return _crossing_edges(pair, cut.phi, cut.c)
 
 
 def _kirwan_image(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> Polynomial:
@@ -152,11 +152,6 @@ def _edge_term(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> Locali
     return LocalizedTerm(value.scaled(Fraction(1) / m_e), tuple(sharps))
 
 
-def _vertex_residue(pair: GkmPair, f: CohClass, p: str, xi: Vector) -> Polynomial:
-    """Series residue of f(p) over the star forms of p along xi."""
-    return residue(f.value(p), [form for _, form in pair.star_forms(p)], xi)
-
-
 @dataclass(frozen=True)
 class JKResult:
     polynomial: Polynomial
@@ -164,54 +159,59 @@ class JKResult:
     per_vertex_residues: dict[str, Polynomial]
 
 
-def jk_pushforward(
-    pair: GkmPair,
-    cut: LevelCut,
-    f: CohClass,
-    _residues: Mapping[str, Polynomial] | None = None,
-    _terms: dict[OrientedEdge, LocalizedTerm] | None = None,
-) -> JKResult:
+def _cut_pushforwards(
+    pair: GkmPair, xi: Vector, phi: Mapping[str, Fraction], f: CohClass, levels: list[Fraction]
+) -> tuple[list[JKResult], dict[str, Polynomial]]:
+    """Cut pushforwards of f at each level, each checked against its residues.
+
+    The caller has validated (xi, phi) and put every level off the vertex
+    levels.  At each level the cross-section sum of (1/m_e) f(e) over the
+    projected star forms is simplified exactly, must be a polynomial of
+    degree k - d + 1, and must equal the sum of the residues of f(p) over
+    the stars of the vertices below the level; a disagreement raises
+    IntegrityError.  A term depends only on its oriented edge and a
+    residue only on its vertex, so each is computed once for all levels.
+    Returns the results and the residues computed, by vertex.
+    """
+    expected = f.degree - pair.valence + 1
+    terms: dict[OrientedEdge, LocalizedTerm] = {}
+    residues: dict[str, Polynomial] = {}
+    results = []
+    for c in levels:
+        crossing = _crossing_edges(pair, phi, c)
+        for e in crossing:
+            if e not in terms:
+                terms[e] = _edge_term(pair, xi, f, *e)
+        numerator = polynomial_sum(
+            LocalizedSum(pair.n, tuple(terms[e] for e in crossing)),
+            "cross-section pushforward did not simplify to a polynomial",
+        )
+        if not numerator.is_zero() and (
+            expected < 0 or numerator.homogeneous_degree() != expected
+        ):
+            raise IntegrityError(
+                f"cross-section pushforward degree {numerator.homogeneous_degree()} != {expected}"
+            )
+        below = [p for p in pair.vertices if phi[p] < c]
+        for p in below:
+            if p not in residues:
+                residues[p] = residue(f.value(p), [a for _, a in pair.star_forms(p)], xi)
+        per_vertex = {p: residues[p] for p in below}
+        if sum(per_vertex.values(), Polynomial.zero(pair.n)) != numerator:
+            raise IntegrityError("cross-section sum and residue sum disagree")
+        results.append(JKResult(numerator, expected, per_vertex))
+    return results, residues
+
+
+def jk_pushforward(pair: GkmPair, cut: LevelCut, f: CohClass) -> JKResult:
     """Cross-section pushforward of f at the cut, checked against residues.
 
-    The cross-section sum of (1/m_e) f(e) over the projected star forms is
-    simplified exactly and must be a polynomial of degree k - d + 1; it is
-    then compared with the sum of the residues of f(p) over the stars of
-    the vertices below the cut, and any disagreement raises IntegrityError.
-    Precomputed per-vertex residues may be passed to avoid recomputation.
-    A term depends only on its oriented edge, f and xi, not on the level,
-    so cuts that share f and xi (the levels of one sweep) may share one
-    ``_terms`` memo, filled here the first time an edge crosses a cut.
+    The cut is validated here, then computed as one level of
+    _cut_pushforwards: an exact polynomial of degree k - d + 1 equal to
+    the sum of the residues of f at the vertices below the cut.
     """
-    d = pair.valence
-    memo = {} if _terms is None else _terms
-    terms = []
-    for p, q in cross_section(pair, cut):
-        term = memo.get((p, q))
-        if term is None:
-            term = memo[(p, q)] = _edge_term(pair, cut.xi, f, p, q)
-        terms.append(term)
-    numerator = polynomial_sum(
-        LocalizedSum(pair.n, tuple(terms)),
-        "cross-section pushforward did not simplify to a polynomial",
-    )
-    expected = f.degree - d + 1
-    if not numerator.is_zero() and (
-        expected < 0 or numerator.homogeneous_degree() != expected
-    ):
-        raise IntegrityError(
-            f"cross-section pushforward degree {numerator.homogeneous_degree()} != {expected}"
-        )
-
-    below = [p for p in pair.vertices if cut.phi[p] < cut.c]
-    per_vertex: dict[str, Polynomial] = {}
-    total = Polynomial.zero(pair.n)
-    for p in below:
-        res = _residues[p] if _residues is not None else _vertex_residue(pair, f, p, cut.xi)
-        per_vertex[p] = res
-        total = total + res
-    if total != numerator:
-        raise IntegrityError("cross-section sum and residue sum disagree")
-    return JKResult(numerator, expected, per_vertex)
+    cut.validate(pair)
+    return _cut_pushforwards(pair, cut.xi, cut.phi, f, [cut.c])[0][0]
 
 
 def wall_crossing_step(
@@ -219,10 +219,13 @@ def wall_crossing_step(
 ) -> Polynomial:
     """Difference of the two cut pushforwards across a single vertex.
 
-    The two cuts must share xi and phi and isolate exactly one vertex
-    between their levels; the difference must equal the residue of f at
-    that vertex.
+    Both cuts are validated first.  They must share xi and phi and isolate
+    exactly one vertex between their levels; both levels are computed in
+    one pass, and the difference must equal the residue of f at that
+    vertex.
     """
+    cut_hi.validate(pair)
+    cut_lo.validate(pair)
     if cut_hi.xi != cut_lo.xi or cut_hi.phi != cut_lo.phi:
         raise ValueError("cuts must share xi and phi")
     if cut_hi.c <= cut_lo.c:
@@ -231,11 +234,9 @@ def wall_crossing_step(
     if len(between) != 1:
         raise ValueError(f"expected exactly one vertex between the levels, got {between}")
     p_r = between[0]
-    terms: dict[OrientedEdge, LocalizedTerm] = {}
-    hi = jk_pushforward(pair, cut_hi, f, _terms=terms).polynomial
-    lo = jk_pushforward(pair, cut_lo, f, _terms=terms).polynomial
-    diff = hi - lo
-    if diff != _vertex_residue(pair, f, p_r, cut_hi.xi):
+    (hi, lo), residues = _cut_pushforwards(pair, cut_hi.xi, cut_hi.phi, f, [cut_hi.c, cut_lo.c])
+    diff = hi.polynomial - lo.polynomial
+    if diff != residues[p_r]:
         raise IntegrityError(f"wall-crossing difference at {p_r!r} mismatches its residue")
     return diff
 
@@ -243,10 +244,13 @@ def wall_crossing_step(
 def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
     """Sweep levels from below the minimum to above the maximum, one vertex per step.
 
-    Every intermediate pushforward is computed both ways (jk_pushforward
-    already enforces their agreement), each step difference is compared
-    with the residue of the vertex it crosses, and the final value above
-    all vertices must vanish.
+    Every intermediate pushforward is computed both ways (_cut_pushforwards
+    enforces their agreement), each step difference is compared with the
+    residue of the vertex it crosses, and the final value above all
+    vertices must vanish.  No LevelCut is validated: positively_oriented_function
+    has oriented xi (so its dimension is right) and checked that phi is
+    injective with (phi(p) - phi(q)) alpha_{q->p}(xi) > 0 on every edge (so
+    xi is on no wall), and each level avoids the vertex levels.
     """
     xi = xi if isinstance(xi, Vector) else Vector(xi)
     phi = positively_oriented_function(pair, xi)
@@ -255,14 +259,7 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
     for i in range(len(ordered) - 1):
         levels.append((phi[ordered[i]] + phi[ordered[i + 1]]) / 2)
     levels.append(phi[ordered[-1]] + 1)
-
-    residues = {p: _vertex_residue(pair, f, p, xi) for p in pair.vertices}
-
-    terms: dict[OrientedEdge, LocalizedTerm] = {}
-    results = []
-    for c in levels:
-        cut = LevelCut(xi, phi, c)
-        results.append(jk_pushforward(pair, cut, f, _residues=residues, _terms=terms))
+    results, residues = _cut_pushforwards(pair, xi, phi, f, levels)
 
     steps_ok = True
     for i, p in enumerate(ordered):
@@ -275,7 +272,7 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
     return {
         "levels": levels,
         "pushforwards": [r.polynomial for r in results],
-        "perVertexResidues": residues,
+        "perVertexResidues": {p: residues[p] for p in pair.vertices},
         "stepsOk": steps_ok,
         "topIsZero": top_zero,
     }

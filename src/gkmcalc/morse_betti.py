@@ -108,7 +108,7 @@ def is_acyclic(orientation: Orientation) -> tuple[bool, list[str] | None]:
 
 
 def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
-    """Injective vertex levels that increase along every upward edge.
+    """Injective vertex levels increasing along every upward edge; xi may be an Orientation.
 
     The base level of a vertex is minus the edge count of the longest
     directed path out of it.  A vertex whose longest path has L > 0 edges
@@ -117,7 +117,7 @@ def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
     i/(2(r+1)) for i = 1..r, which stays below half that gap.  Both
     injectivity and the orientation inequality are rechecked exactly.
     """
-    o = orient(pair, xi)
+    o = xi if isinstance(xi, Orientation) else orient(pair, xi)
     succ, order, cycle = _upward_order(o)
     if cycle is not None:
         raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
@@ -142,8 +142,8 @@ def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
 
 
 def betti(pair: GkmPair, xi) -> list[int]:
-    """Histogram of sigma over the vertices, indexed 0..valence."""
-    o = orient(pair, xi)
+    """Histogram of sigma over the vertices, indexed 0..valence; xi may be an Orientation."""
+    o = xi if isinstance(xi, Orientation) else orient(pair, xi)
     out = [0] * (pair.valence + 1)
     for v in pair.vertices:
         out[o.sigma[v]] += 1
@@ -495,10 +495,10 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     level the filtered dimension must equal the row-rank dimension.
     """
     o = orient(pair, xi)
-    phi = positively_oriented_function(pair, xi)
+    phi = positively_oriented_function(pair, o)
     d = pair.valence
     n = pair.n
-    beta = betti(pair, xi)
+    beta = betti(pair, o)
     class_covs = [c.canonical_covector() for c in _axial_classes(pair)]
     ideal_cache: dict[int, int] = {}
 

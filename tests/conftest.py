@@ -1,10 +1,36 @@
-"""Shared fixtures: the standard family of small pairs used across the suite."""
+"""Shared fixtures: the standard family of small pairs, and two Grassmannians."""
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
-from gkmcalc import complete_graph, cycle_2valent, blow_up, product
-from gkmcalc.gkm_core import relabel
+from gkmcalc import GkmPair, complete_graph, cycle_2valent, blow_up, product
+from gkmcalc.gkm_core import infer_connection, relabel
+
+
+def grassmannian(k: int, N: int) -> GkmPair:
+    """The GKM pair of Gr(k, N) in the quotient by the diagonal.
+
+    Vertices are the k-subsets of {1..N}, named by their digits; the edges
+    are the single swaps S -> S - {i} + {j}, with axial covector x_j - x_i
+    at S, where x_1..x_{N-1} are the coordinates and x_N is 0 (n = N - 1).
+    The connection is the one infer_connection finds.
+    """
+    def x(i):
+        return [int(m == i) for m in range(1, N)]
+
+    name = {s: "".join(map(str, s)) for s in itertools.combinations(range(1, N + 1), k)}
+    edges, axial = [], {}
+    for a, b in itertools.combinations(name, 2):
+        gone, new = set(a) - set(b), set(b) - set(a)
+        if len(gone) == 1:
+            (i,), (j,) = gone, new
+            e = (name[a], name[b])
+            edges.append(e)
+            axial[e] = [u - v for u, v in zip(x(j), x(i))]
+    pair = GkmPair(N - 1, name.values(), edges, axial)
+    return GkmPair(N - 1, name.values(), edges, axial, infer_connection(pair))
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +89,16 @@ def prod(cp2):
     pair, report = product(cp2, seg)
     assert report.ok
     return pair
+
+
+@pytest.fixture(scope="session")
+def gr24():
+    return grassmannian(2, 4)
+
+
+@pytest.fixture(scope="session")
+def gr25():
+    return grassmannian(2, 5)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -121,8 +122,12 @@ def workdir(tmp_path_factory):
 def test_cli_never_ends_in_a_traceback(workdir, docs, argv, out):
     paths = {}
     for name, doc in docs.items():
-        path = workdir / f"{name}.json"
-        path.write_text(json.dumps(doc))
+        # one file per distinct document: rewriting a file costs far more than
+        # creating one on some filesystems, and the examples repeat documents
+        text = json.dumps(doc)
+        path = workdir / f"{name}-{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
+        if not path.exists():
+            path.write_text(text)
         paths[name.upper()] = str(path)
     argv = [paths.get(arg, arg) for arg in argv]
     out_path = None if out is None else workdir / out / "out.json"

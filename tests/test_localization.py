@@ -260,3 +260,56 @@ def test_wall_crossing_step_projects_each_edge_once(gamma5, monkeypatch):
     wall_crossing_step(gamma5, hi, lo, chern_class(gamma5, 2))
     assert len(calls) == 2 * len(edges)
 
+
+
+# --- one cut routine for every level pushforward ------------------------------
+
+
+def test_jk_pushforward_reproduces_every_sweep_level(family, gr24, gr25):
+    for name, pair in family + [("gr24", gr24), ("gr25", gr25)]:
+        xi = find_acyclic_xi(pair)
+        phi = positively_oriented_function(pair, xi)
+        f = chern_class(pair, 1) ** (pair.valence + 1)
+        out = full_sweep(pair, xi, f)
+        # in n = 1 a level pushforward of positive degree is 0
+        assert pair.n == 1 or any(not p.is_zero() for p in out["pushforwards"]), name
+        for c, value in zip(out["levels"], out["pushforwards"]):
+            result = jk_pushforward(pair, LevelCut(xi, phi, c), f)
+            assert result.polynomial == value, (name, c)
+            below = {p: r for p, r in out["perVertexResidues"].items() if phi[p] < c}
+            assert result.per_vertex_residues == below, (name, c)
+        assert list(out["perVertexResidues"]) == list(pair.vertices), name
+
+
+def test_each_public_cut_call_validates_its_cuts_once(k5n3, monkeypatch):
+    calls = []
+    real = LevelCut.validate
+
+    def counted(self, pair):
+        calls.append(self.c)
+        return real(self, pair)
+
+    monkeypatch.setattr(LevelCut, "validate", counted)
+    xi = find_acyclic_xi(k5n3)
+    f = chern_class(k5n3, 3)
+    full_sweep(k5n3, xi, f)
+    assert calls == []  # positively_oriented_function has checked (xi, phi)
+    phi = positively_oriented_function(k5n3, xi)
+    levels = sorted(phi.values())
+    hi = LevelCut(xi, phi, (levels[2] + levels[3]) / 2)
+    lo = LevelCut(xi, phi, (levels[1] + levels[2]) / 2)
+    jk_pushforward(k5n3, hi, f)
+    assert calls == [hi.c]
+    calls.clear()
+    wall_crossing_step(k5n3, hi, lo, f)
+    assert calls == [hi.c, lo.c]
+
+
+def test_wall_crossing_step_validates_before_reading_levels(cp2):
+    xi = Vector((1, 2))
+    phi = positively_oriented_function(cp2, xi)
+    del phi["3"]
+    hi = LevelCut(xi, phi, Fraction(-1, 2))
+    lo = LevelCut(xi, phi, Fraction(-3, 2))
+    with pytest.raises(ValueError, match="phi must assign a level to every vertex"):
+        wall_crossing_step(cp2, hi, lo, chern_class(cp2, 2))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +33,7 @@ from gkmcalc.morse_betti import (
     is_acyclic,
     wall_crossing_check,
 )
-from gkmcalc import linalg
+from gkmcalc import cli, linalg, morse_betti
 from gkmcalc.polyalg import Covector, Polynomial, graded_dim, monomials, pair as pairing
 
 
@@ -909,3 +910,44 @@ def test_cycle_witness_on_the_square_with_a_chord():
     with pytest.raises(ValueError) as err:
         positively_oriented_function(pair, Vector((1,)))
     assert str(err.value) == "orientation has a directed cycle: " + " -> ".join(witness)
+
+
+# --- one orientation per report -----------------------------------------------
+
+
+def _count_orientations(monkeypatch, *modules):
+    calls = []
+    real = morse_betti.orient
+
+    def counted(pair, xi):
+        calls.append(xi)
+        return real(pair, xi)
+
+    for module in modules:
+        monkeypatch.setattr(module, "orient", counted)
+    return calls
+
+
+def test_morse_inequalities_orients_once(k5n3, monkeypatch):
+    xi = find_acyclic_xi(k5n3)
+    calls = _count_orientations(monkeypatch, morse_betti)
+    out = morse_inequalities(k5n3, xi, 2)
+    assert out["ok"]
+    assert len(calls) == 1
+
+
+def test_betti_with_xi_orients_once(cp2, tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(cp2.to_json()))
+    calls = _count_orientations(monkeypatch, morse_betti, cli)
+    assert cli.main(["betti", str(graph), "--xi", "3,7", "--out", str(tmp_path / "b.json")]) == 0
+    # the chamber check orients each chamber's witness; the report's own xi once
+    assert [list(xi) for xi in calls].count([3, 7]) == 1
+
+
+def test_an_orientation_stands_in_for_its_direction(family, gr24, gr25):
+    for name, pair in family + [("gr24", gr24), ("gr25", gr25)]:
+        xi = find_acyclic_xi(pair)
+        o = orient(pair, xi)
+        assert betti(pair, o) == betti(pair, xi), name
+        assert positively_oriented_function(pair, o) == positively_oriented_function(pair, xi), name
