@@ -47,24 +47,29 @@ def pushforward_localized_sum(pair: GkmPair, f: CohClass) -> LocalizedSum:
     return LocalizedSum(pair.n, tuple(terms))
 
 
+def _check_ring(pair: GkmPair, f: CohClass) -> None:
+    """Raise InputError unless every value of f lives in the pair's ring."""
+    for v, value in f.values.items():
+        if value.n != pair.n:
+            raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
+
+
+def _pushforward(lsum: LocalizedSum, expected: int, what: str) -> Polynomial:
+    """The polynomial a sum collapses to, which must be zero or of the expected degree."""
+    numerator = polynomial_sum(lsum, f"{what} did not simplify to a polynomial")
+    if not numerator.is_zero() and (expected < 0 or numerator.homogeneous_degree() != expected):
+        raise IntegrityError(f"{what} degree {numerator.homogeneous_degree()} != {expected}")
+    return numerator
+
+
 def integrate(pair: GkmPair, f: CohClass) -> Polynomial:
     """Exact pushforward of a class; homogeneous of degree k - d, zero if k < d.
 
     A residual denominator after simplification means the input was not a
     class (or the pair invalid) and raises NonPolynomialResultError.
     """
-    d = pair.valence
-    numerator = polynomial_sum(
-        pushforward_localized_sum(pair, f), "pushforward did not simplify to a polynomial"
-    )
-    expected = f.degree - d
-    if numerator.is_zero():
-        return numerator
-    if expected < 0 or numerator.homogeneous_degree() != expected:
-        raise IntegrityError(
-            f"pushforward degree {numerator.homogeneous_degree()} != {expected}"
-        )
-    return numerator
+    _check_ring(pair, f)
+    return _pushforward(pushforward_localized_sum(pair, f), f.degree - pair.valence, "pushforward")
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,7 @@ def kirwan_map(
     Values are projected into the subring annihilating xi along the edge
     form; the p- and q-side images must agree exactly.
     """
+    _check_ring(pair, f)
     return {(p, q): _kirwan_image(pair, cut.xi, f, p, q) for p, q in cross_section(pair, cut)}
 
 
@@ -173,6 +179,7 @@ def _cut_pushforwards(
     residue only on its vertex, so each is computed once for all levels.
     Returns the results and the residues computed, by vertex.
     """
+    _check_ring(pair, f)
     expected = f.degree - pair.valence + 1
     terms: dict[OrientedEdge, LocalizedTerm] = {}
     residues: dict[str, Polynomial] = {}
@@ -182,16 +189,8 @@ def _cut_pushforwards(
         for e in crossing:
             if e not in terms:
                 terms[e] = _edge_term(pair, xi, f, *e)
-        numerator = polynomial_sum(
-            LocalizedSum(pair.n, tuple(terms[e] for e in crossing)),
-            "cross-section pushforward did not simplify to a polynomial",
-        )
-        if not numerator.is_zero() and (
-            expected < 0 or numerator.homogeneous_degree() != expected
-        ):
-            raise IntegrityError(
-                f"cross-section pushforward degree {numerator.homogeneous_degree()} != {expected}"
-            )
+        numerator = _pushforward(LocalizedSum(pair.n, tuple(terms[e] for e in crossing)),
+                                 expected, "cross-section pushforward")
         below = [p for p in pair.vertices if phi[p] < c]
         for p in below:
             if p not in residues:

@@ -37,8 +37,10 @@ polynomials h_m; the formula route projects f along each form
 (``project_covector``), and collapses the partial fractions with
 ``polynomial_sum``.  That is ``simplify`` for every sum that must come
 out polynomial: it raises ``NonPolynomialResultError`` when a
-denominator is left.  The tests also pin both routes to frozen copies of
-their earlier general-substitution (Horner) versions.
+denominator is left.  ``simplify`` clears and cancels on integer
+numerator maps, cancelling each line through ``_divide_by_line``.  The
+tests also pin both routes to frozen copies of their earlier
+general-substitution (Horner) versions.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -848,59 +851,51 @@ class LocalizedSum:
 
 
 def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
-    """Collapse a localized sum to one fraction in lowest terms.
+    """Collapse a localized sum to one fraction in lowest terms, on numerator maps.
 
-    Parallel denominator factors are merged into canonical representatives
-    (scalars absorbed into numerators); after clearing to the least common
-    denominator, canonical factors are cancelled while they divide the
-    numerator exactly.  The returned denominator multiset is sorted and
-    consists of canonical forms only.
+    Each nonzero term's map is multiplied by the canonical lines its
+    denominators lack from the least common one (``_mul_terms``) and added
+    at the integer factor that puts 1 / (den * prod(form.scale)) over one
+    common denominator.  The lines are then divided out in sorted order
+    (``_divide_by_line``) while the remainder is empty, each lift joining
+    the denominator.  The returned denominators are sorted canonical forms.
     """
     n = lsum.n
-    cleaned: list[tuple[Polynomial, dict[Monomial, int]]] = []
-    canon_forms: dict[Monomial, LinearForm] = {}
+    prepared = []
+    lcd: Counter[Monomial] = Counter()
     for term in lsum.terms:
-        if term.numerator.is_zero():
-            continue
-        num = term.numerator
-        mult: dict[Monomial, int] = {}
-        scale = Fraction(1)
-        for form in term.denominators:
-            key = form.canonical
-            if key not in canon_forms:
-                canon_forms[key] = LinearForm(form.canonical_covector())
-            mult[key] = mult.get(key, 0) + 1
-            scale *= form.scale
-        cleaned.append((num.scaled(1 / scale), mult))
-    if not cleaned:
+        num, dens = term.numerator, term.denominators
+        if num._terms:
+            mult = Counter(form.canonical for form in dens)
+            lcd |= mult
+            prepared.append((num._terms, num._den * math.prod(form.scale for form in dens), mult))
+    if not prepared:
         return Polynomial.zero(n), ()
-    lcd: dict[Monomial, int] = {}
-    for _, mult in cleaned:
-        for key, m in mult.items():
-            lcd[key] = max(lcd.get(key, 0), m)
-    lines = {key: canon_forms[key].canonical_polynomial() for key in lcd}
-    numerator = Polynomial.zero(n)
-    for num, mult in cleaned:
-        piece = num
+    # the lines go in one at a time, so the first product past the limit has degree MAX_DEGREE + 1
+    width, size = _BITS * n, sum(lcd.values())
+    top = max((max(terms) >> width) + size - mult.total() for terms, _, mult in prepared)
+    _check_degree(min(top, MAX_DEGREE + 1))
+    lines = {key: {_unit(n, i): c for i, c in enumerate(key) if c} for key in lcd}
+    den = math.lcm(*(r.numerator for _, r, _ in prepared))
+    numerator: dict[int, int] = {}
+    for terms, r, mult in prepared:
         for key, m in lcd.items():
-            for _ in range(m - mult.get(key, 0)):
-                piece = piece * lines[key]
-        numerator = numerator + piece
-    remaining: dict[Monomial, int] = {k: m for k, m in lcd.items() if m}
-    for key in sorted(remaining):
-        form = canon_forms[key]
-        while remaining[key] > 0 and not numerator.is_zero():
-            q = divides_exactly(form, numerator)
-            if q is None:
+            for _ in range(m - mult[key]):
+                terms = _mul_terms(terms, lines[key])
+        _add_into(numerator, terms, den // r.numerator * r.denominator)
+    canon = {key: LinearForm(Covector._raw(key)) for key in lcd}
+    for key in sorted(lcd):
+        while lcd[key] and numerator:
+            quotient, remainder, lift = _divide_by_line(numerator, n, canon[key])
+            if remainder:
                 break
-            numerator = q
-            remaining[key] -= 1
-    if numerator.is_zero():
+            numerator, den = quotient, den * lift
+            lcd[key] -= 1
+    if not numerator:
         return Polynomial.zero(n), ()
-    denoms: list[LinearForm] = []
-    for key in sorted(remaining):
-        denoms.extend(canon_forms[key] for _ in range(remaining[key]))
-    return numerator, tuple(denoms)
+    if den < 0:
+        numerator, den = {k: -c for k, c in numerator.items()}, -den
+    return Polynomial._raw(n, numerator, den), tuple(canon[key] for key in sorted(lcd.elements()))
 
 
 def polynomial_sum(lsum: LocalizedSum, what: str) -> Polynomial:

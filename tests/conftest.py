@@ -1,4 +1,4 @@
-"""Shared fixtures: the standard family of small pairs, and two Grassmannians."""
+"""Shared fixtures: the standard family of small pairs, two Grassmannians and two flag varieties."""
 from __future__ import annotations
 
 import itertools
@@ -31,6 +31,38 @@ def grassmannian(k: int, N: int) -> GkmPair:
             axial[e] = [u - v for u, v in zip(x(j), x(i))]
     pair = GkmPair(N - 1, name.values(), edges, axial)
     return GkmPair(N - 1, name.values(), edges, axial, infer_connection(pair))
+
+
+def flag(N: int) -> GkmPair:
+    """The GKM pair of the full flag variety Fl(N) in the quotient by the diagonal.
+
+    Vertices are the permutations w of 1..N in one-line notation, named by
+    their digits; the edges are w -- w.(a b) for positions a < b, with
+    axial covector x_{w(b)} - x_{w(a)} at w, where x_1..x_{N-1} are the
+    coordinates and x_N is 0 (n = N - 1).  Star residues repeat, so the
+    connection is given explicitly: along (w, w.t) it sends the neighbour
+    w.s to (w.t).s, the same position swap.
+    """
+    def x(i):
+        return [int(m == i) for m in range(1, N)]
+
+    def swap(w, t):
+        a, b = t
+        u = list(w)
+        u[a], u[b] = u[b], u[a]
+        return tuple(u)
+
+    name = {w: "".join(map(str, w)) for w in itertools.permutations(range(1, N + 1))}
+    swaps = list(itertools.combinations(range(N), 2))
+    edges, axial, connection = [], {}, {}
+    for w in name:
+        for t in swaps:
+            v = swap(w, t)
+            if name[w] < name[v]:
+                edges.append((name[w], name[v]))
+                axial[name[w], name[v]] = [p - q for p, q in zip(x(w[t[1]]), x(w[t[0]]))]
+            connection[name[w], name[v]] = {name[swap(w, s)]: name[swap(v, s)] for s in swaps}
+    return GkmPair(N - 1, name.values(), edges, axial, connection)
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +131,16 @@ def gr24():
 @pytest.fixture(scope="session")
 def gr25():
     return grassmannian(2, 5)
+
+
+@pytest.fixture(scope="session")
+def fl3():
+    return flag(3)
+
+
+@pytest.fixture(scope="session")
+def fl4():
+    return flag(4)
 
 
 @pytest.fixture(scope="session")

@@ -1,27 +1,33 @@
-"""Grassmannians Gr(2, 4) and Gr(2, 5) against their closed-form answers.
+"""Grassmannians Gr(2, 4), Gr(2, 5) and flag varieties Fl(3), Fl(4) against closed forms.
 
 Every expected value here comes from a formula the test evaluates itself:
-Gaussian binomial coefficients for the Betti numbers, N! chambers of the
-braid arrangement, and the binomial sum for the class dimensions.
+Gaussian binomial coefficients and inversion counts for the Betti numbers,
+N! chambers of the braid arrangement, the binomial sum for the class
+dimensions, and the degrees behind the integrals of c_1^d.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from gkmcalc import (
+    GkmPair,
     Polynomial,
     Vector,
     betti_invariance_check,
     chern_class,
     full_sweep,
+    integrate,
     morse_inequalities,
     positively_oriented_function,
     validate_axial,
     validate_connection,
 )
 from gkmcalc.cohomology import coh_dim
+from gkmcalc.gkm_core import AmbiguousConnection, infer_connection
 
 
 def gaussian_binomial(N: int, k: int) -> list[int]:
@@ -81,3 +87,107 @@ def test_grassmannian_known_answers(request, name, N, betti, dims):
         running = running + sweep["perVertexResidues"][p]
         assert running == value
     assert running == Polynomial.zero(n)
+
+
+def inversion_counts(N: int) -> list[int]:
+    """Permutations of 1..N by their number of inversions."""
+    out = [0] * (math.comb(N, 2) + 1)
+    for w in itertools.permutations(range(N)):
+        out[sum(a > b for a, b in itertools.combinations(w, 2))] += 1
+    return out
+
+
+def swap(w: str, t: tuple[int, int]) -> str:
+    a, b = t
+    u = list(w)
+    u[a], u[b] = u[b], u[a]
+    return "".join(u)
+
+
+FLAGS = [
+    ("fl3", 3, [1, 2, 2, 1], [1, 4, 9, 15, 21]),
+    ("fl4", 4, [1, 3, 5, 6, 5, 3, 1], [1, 6, 20, 49, 98]),
+]
+
+
+@pytest.mark.parametrize("name, N, betti, dims", FLAGS)
+def test_the_flag_formulas_give_the_listed_values(name, N, betti, dims):
+    assert inversion_counts(N) == betti
+    assert [class_dimension(betti, N - 1, k) for k in range(5)] == dims
+
+
+@pytest.mark.parametrize("name, N, betti, dims", FLAGS)
+def test_flag_known_answers(request, name, N, betti, dims):
+    pair = request.getfixturevalue(name)
+    n, d = N - 1, math.comb(N, 2)
+    assert pair.n == n and pair.valence == d and len(pair.vertices) == math.factorial(N)
+    assert validate_axial(pair).ok
+    assert validate_connection(pair, pair.connection).ok
+    # star residues repeat, so no connection is inferred from the axial function alone
+    with pytest.raises(AmbiguousConnection):
+        infer_connection(GkmPair(n, pair.vertices, pair.edges, pair.axial))
+    # right multiplication u -> u.t along (w, w.t) is a family of star
+    # bijections, but not one that carries residues along the edge
+    swaps = list(itertools.combinations(range(N), 2))
+    right = {}
+    for p, q in pair.oriented_edges():
+        (t,) = [s for s in swaps if swap(p, s) == q]
+        right[p, q] = {u: swap(u, t) for u in pair.neighbors(p)}
+    report = validate_connection(pair, right)
+    assert report.violations and {v.axiom for v in report.violations} == {"1.34"}
+    if N == 3:
+        assert len(report.violations) == 12
+
+    b = inversion_counts(N)
+    report = betti_invariance_check(pair)
+    assert report["invariant"] and report["betti"] == b
+    assert report["chambers_found"] == math.factorial(N)
+    assert [coh_dim(pair, k) for k in range(5)] == [class_dimension(b, n, k) for k in range(5)]
+
+    xi = Vector(list(range(1, N)))
+    out = morse_inequalities(pair, xi, 4)
+    assert out["ok"] and out["betti"] == b
+    assert all(row["equality"] for row in out["morse"])
+
+    c1 = chern_class(pair, 1)
+    phi = positively_oriented_function(pair, xi)
+    for k in range(1, d + 2):
+        sweep = full_sweep(pair, xi, c1**k)
+        assert sweep["stepsOk"] and sweep["topIsZero"], k
+        running = sweep["pushforwards"][0]
+        for p, value in zip(sorted(pair.vertices, key=phi.get), sweep["pushforwards"][1:]):
+            running = running + sweep["perVertexResidues"][p]
+            assert running == value
+        assert running == Polynomial.zero(n)
+
+
+def flag_integral(N: int) -> int:
+    """d! 2^d for d = C(N, 2): c_1 = 2 rho, and Borel-Hirzebruch gives
+    the integral of lambda^d as d! prod over positive roots of <lambda, a> / <rho, a>."""
+    d = math.comb(N, 2)
+    return math.factorial(d) * 2**d
+
+
+def grassmannian_integral(k: int, N: int) -> int:
+    """N^d deg Gr(k, N), with d = k(N - k) and deg = d! prod_{i<k} i! / (N - k + i)!."""
+    d = k * (N - k)
+    deg = math.factorial(d) * math.prod(
+        Fraction(math.factorial(i), math.factorial(N - k + i)) for i in range(k))
+    assert deg.denominator == 1
+    return N**d * int(deg)
+
+
+INTEGRALS = [
+    ("fl3", flag_integral(3), 48),
+    ("fl4", flag_integral(4), 46080),
+    ("gr24", grassmannian_integral(2, 4), 512),
+    ("gr25", grassmannian_integral(2, 5), 78125),
+]
+
+
+@pytest.mark.parametrize("name, value, listed", INTEGRALS)
+def test_c1_to_the_valence_integrates_to_its_known_value(request, name, value, listed):
+    assert value == listed
+    pair = request.getfixturevalue(name)
+    c1 = chern_class(pair, 1)
+    assert integrate(pair, c1**pair.valence) == Polynomial.constant(pair.n, value)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc import (
+    InputError,
     IntegrityError,
     LevelCut,
     NonPolynomialResultError,
@@ -313,3 +314,21 @@ def test_wall_crossing_step_validates_before_reading_levels(cp2):
     lo = LevelCut(xi, phi, Fraction(-3, 2))
     with pytest.raises(ValueError, match="phi must assign a level to every vertex"):
         wall_crossing_step(cp2, hi, lo, chern_class(cp2, 2))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_class_from_another_ring_is_an_input_error(cp2, m):
+    f = CohClass(0, {v: Polynomial.constant(m, 1) for v in cp2.vertices})
+    xi = Vector((1, 2))
+    phi = positively_oriented_function(cp2, xi)
+    hi, lo = LevelCut(xi, phi, Fraction(-1, 2)), LevelCut(xi, phi, Fraction(-3, 2))
+    calls = [
+        lambda: integrate(cp2, f),
+        lambda: kirwan_map(cp2, hi, f),
+        lambda: jk_pushforward(cp2, hi, f),
+        lambda: wall_crossing_step(cp2, hi, lo, f),
+        lambda: full_sweep(cp2, xi, f),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="value at '1' is not a polynomial in the ambient ring"):
+            call()

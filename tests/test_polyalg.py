@@ -901,15 +901,66 @@ def test_reduce_covector_mod_line_on_zeros_pivots_and_one_variable():
         reduce_covector_mod_line(Covector((1, 2)), one)
 
 
-def test_simplify_builds_each_canonical_line_once(monkeypatch):
-    calls = {}
-    original = LinearForm.canonical_polynomial
+def _simplify_oracle(lsum):
+    """The former simplify, kept verbatim as an oracle.
 
-    def counting(self):
-        calls[self.canonical] = calls.get(self.canonical, 0) + 1
-        return original(self)
+    Polynomial products by canonical line polynomials to clear, then
+    divides_exactly per canonical line to cancel.
+    """
+    n = lsum.n
+    cleaned = []
+    canon_forms = {}
+    for term in lsum.terms:
+        if term.numerator.is_zero():
+            continue
+        num = term.numerator
+        mult = {}
+        scale = Fraction(1)
+        for form in term.denominators:
+            key = form.canonical
+            if key not in canon_forms:
+                canon_forms[key] = LinearForm(form.canonical_covector())
+            mult[key] = mult.get(key, 0) + 1
+            scale *= form.scale
+        cleaned.append((num.scaled(1 / scale), mult))
+    if not cleaned:
+        return Polynomial.zero(n), ()
+    lcd = {}
+    for _, mult in cleaned:
+        for key, m in mult.items():
+            lcd[key] = max(lcd.get(key, 0), m)
+    lines = {key: canon_forms[key].canonical_polynomial() for key in lcd}
+    numerator = Polynomial.zero(n)
+    for num, mult in cleaned:
+        piece = num
+        for key, m in lcd.items():
+            for _ in range(m - mult.get(key, 0)):
+                piece = piece * lines[key]
+        numerator = numerator + piece
+    remaining = {k: m for k, m in lcd.items() if m}
+    for key in sorted(remaining):
+        form = canon_forms[key]
+        while remaining[key] > 0 and not numerator.is_zero():
+            q = divides_exactly(form, numerator)
+            if q is None:
+                break
+            numerator = q
+            remaining[key] -= 1
+    if numerator.is_zero():
+        return Polynomial.zero(n), ()
+    denoms = []
+    for key in sorted(remaining):
+        denoms.extend(canon_forms[key] for _ in range(remaining[key]))
+    return numerator, tuple(denoms)
 
-    monkeypatch.setattr(LinearForm, "canonical_polynomial", counting)
+
+def _assert_simplify_matches_oracle(lsum):
+    got, want = simplify(lsum), _simplify_oracle(lsum)
+    assert got == want and got[0].to_json() == want[0].to_json(), lsum
+    return got
+
+
+def test_simplify_builds_each_canonical_line_once():
     x, y, z = (Covector(_unit_exp(3, i)) for i in range(3))
     forms = [LinearForm(c) for c in (x, y, x - y, (y + z).scaled(2), z)]
     one = Polynomial.constant(3, 1)
@@ -920,14 +971,119 @@ def test_simplify_builds_each_canonical_line_once(monkeypatch):
         LocalizedTerm(Polynomial.variable(3, 2), (forms[3], forms[3], forms[4], forms[0])),
     ]
     lsum = LocalizedSum(3, tuple(terms))
-    numerator, denominators = simplify(lsum)
-    assert calls and all(count == 1 for count in calls.values()), calls
-    assert set(calls) <= {f.canonical for f in forms}
+    numerator, denominators = _assert_simplify_matches_oracle(lsum)
     point = (Fraction(2), Fraction(5, 3), Fraction(-7, 2))
     value = numerator.evaluate(point)
     for form in denominators:
         value /= form.polynomial().evaluate(point)
     assert value == lsum.evaluate(point)
+
+
+_SCALES = [Fraction(s) for s in ("1", "-1", "2", "-3", "1/2", "-2/3", "3/4")]
+
+
+def _random_localized_sum(rng, n, seen):
+    """A sum over a few lines, each form a random (negative, fractional) multiple of one.
+
+    Half the sums end in a term that makes the whole sum a chosen
+    polynomial h (zero when h is), so full cancellation is common.
+    """
+    lines, count = [], rng.randint(1, 3) if n > 1 else 1
+    while len(lines) < count:
+        c = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(c) and LinearForm(Covector(c)).canonical not in {
+                LinearForm(Covector(d)).canonical for d in lines}:
+            lines.append(c)
+
+    def form(line):
+        scale = rng.choice(_SCALES)
+        return LinearForm(Covector(c * scale for c in line))
+
+    def poly(degree):
+        exps = [tuple(rng.randint(0, degree) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        return Polynomial(n, {e: rng.choice(_SCALES) * rng.randint(1, 5) for e in exps})
+
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        dens = tuple(form(rng.choice(lines)) for _ in range(rng.randint(0, 3)))
+        kind = rng.choice(("zero", "any", "any", "multiple"))
+        if kind == "zero":
+            num = Polynomial.zero(n)
+        else:
+            num = poly(2)
+            if kind == "multiple":
+                for d in dens[: rng.randint(1, 2)]:
+                    num = num * d.polynomial()
+        terms.append(LocalizedTerm(num, dens))
+    if rng.random() < 0.5:
+        # last term: h * prod(last) - sum_i num_i * prod(last) / prod(dens_i), so the sum is h
+        lcd = {}
+        for t in terms:
+            mult = {}
+            for d in t.denominators:
+                mult[d.canonical] = mult.get(d.canonical, 0) + 1
+            for key, m in mult.items():
+                lcd[key] = max(lcd.get(key, 0), m)
+        last = tuple(form(key) for key, m in lcd.items() for _ in range(m))
+        full = Polynomial.constant(n, 1)
+        for d in last:
+            full = full * d.polynomial()
+        h = rng.choice((Polynomial.zero(n), poly(1), poly(2)))
+        num = h * full
+        for t in terms:
+            cofactor = full
+            for d in t.denominators:
+                cofactor = divides_exactly(d, cofactor)
+            num = num - t.numerator * cofactor
+        terms.append(LocalizedTerm(num, last))
+        seen["collapses"] += 1
+    canon = [d.canonical for t in terms for d in t.denominators]
+    scales = [d.scale for t in terms for d in t.denominators]
+    seen["parallel"] += any(canon.count(c) > 1 for c in canon) and any(
+        s < 0 for s in scales) and any(s.denominator > 1 for s in scales)
+    seen["repeated"] += any(
+        len({d.canonical for d in t.denominators}) < len(t.denominators) for t in terms)
+    seen["zero term"] += any(t.numerator.is_zero() for t in terms)
+    return LocalizedSum(n, tuple(terms))
+
+
+def test_simplify_matches_the_former_simplify_on_seeded_sums():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(("collapses", "parallel", "repeated", "zero term"), 0)
+    outcomes = {"zero": 0, "polynomial": 0, "leftover": 0}
+    ns = set()
+    for _ in range(320):
+        n = rng.randint(1, 4)
+        ns.add(n)
+        lsum = _random_localized_sum(rng, n, seen)
+        numerator, denominators = _assert_simplify_matches_oracle(lsum)
+        has_dens = any(t.denominators for t in lsum.terms)
+        if numerator.is_zero():
+            outcomes["zero"] += has_dens
+        else:
+            outcomes["leftover" if denominators else "polynomial"] += has_dens
+    assert ns == {1, 2, 3, 4}
+    assert min(seen.values()) >= 20 and min(outcomes.values()) >= 20, (seen, outcomes)
+
+
+def test_simplify_degree_limit_counts_the_lines_a_term_already_has():
+    # x^d / y + 1 / (x + y): clearing gives x^(d+1) + x^d y + y, of degree d + 1
+    y, s = LinearForm(Covector((0, 1))), LinearForm(Covector((1, 1)))
+
+    def lsum(d, power=1):
+        terms = (LocalizedTerm(Polynomial(2, {(d, 0): 1}), (y,)),
+                 LocalizedTerm(Polynomial.constant(2, 1), (s,) * power))
+        return LocalizedSum(2, terms)
+
+    numerator, denominators = _assert_simplify_matches_oracle(lsum(MAX_DEGREE - 1))
+    assert numerator.total_degree() == MAX_DEGREE
+    assert denominators == (LinearForm(Covector((0, 1))), LinearForm(Covector((1, 1))))
+    # lines are multiplied in one at a time, so the first degree past the limit is reported
+    for simplifier in (simplify, _simplify_oracle):
+        for power in (1, 2):
+            with pytest.raises(InputError) as err:
+                simplifier(lsum(MAX_DEGREE, power))
+            assert str(err.value) == "total degree 65536 is above the limit 65535 of monomial keys"
 
 
 # --- packed monomial keys and the integer Horner pass --------------------------
