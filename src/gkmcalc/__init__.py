@@ -14,7 +14,6 @@ from .cohomology import CohClass, chern_class, coh_basis, is_class, is_symplecti
 from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
     AmbiguousConnection,
-    ConnectionMap,
     GkmPair,
     GraphFormatError,
     NoConnection,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousConnection",
     "CohClass",
-    "ConnectionMap",
     "Covector",
     "GkmPair",
     "GraphFormatError",

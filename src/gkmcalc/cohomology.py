@@ -313,9 +313,10 @@ def gysin(
     if not ok:
         raise ValueError(f"input is not a class of the sub-pair (edge {witness})")
     tau = thom_class_subobject(pair, sub_vertices, sub_edges)
+    inside = set(sub_vertices)
     values = {}
     for v in pair.vertices:
-        if v in set(sub_vertices):
+        if v in inside:
             values[v] = f1.value(v) * tau.value(v)
         else:
             values[v] = Polynomial.zero(pair.n)
@@ -341,16 +342,16 @@ def blowup_class_check(base: GkmPair, p0: str, max_k: int = 4) -> dict:
     sharp, beta = blow_up(base, p0)
     d = base.valence
     ps = [v for v in sharp.vertices if beta[v] == p0]
-    locus_edges = [e for e in sharp.edges if e[0] in set(ps) and e[1] in set(ps)]
+    locus = set(ps)
+    locus_edges = [e for e in sharp.edges if e[0] in locus and e[1] in locus]
 
     pullback_ok = True
     injective_ok = True
     dims = []
-    mons_cache: dict[int, list[Monomial]] = {}
     for k in range(max_k + 1):
         dim_base, basis = coh_basis(base, k)
         vectors = []
-        mons = mons_cache.setdefault(k, monomials(base.n, k))
+        mons = monomials(base.n, k)
         for cls in basis:
             lifted = pullback(beta, cls, sharp.vertices)
             ok, _ = is_class(sharp, lifted.values)

@@ -21,6 +21,28 @@ def _coerce_covectors(alphas: Sequence) -> list[Covector]:
     return [a if isinstance(a, Covector) else Covector(a) for a in alphas]
 
 
+def _complete(names: Sequence[str], points: Sequence[Covector]):
+    """Edges, axial values and standard connection of the complete graph on names.
+
+    Returns the edges (names_i, names_j) for i < j, the axial values
+    (i -> j) = points_i - points_j in both orientations, and the standard
+    connection, which along (i -> j) sends j to i and fixes every other name.
+    """
+    N = len(names)
+    edges, axial, conn = [], {}, {}
+    for i in range(N):
+        for j in range(N):
+            if i == j:
+                continue
+            if i < j:
+                edges.append((names[i], names[j]))
+            axial[(names[i], names[j])] = points[i] - points[j]
+            conn[(names[i], names[j])] = {
+                names[k]: names[i] if k == j else names[k] for k in range(N) if k != i
+            }
+    return edges, axial, conn
+
+
 def complete_graph(alphas: Sequence[Covector | Iterable]) -> GkmPair:
     """Complete graph on N vertices with axial (i -> j) = alpha_i - alpha_j.
 
@@ -48,22 +70,7 @@ def complete_graph(alphas: Sequence[Covector | Iterable]) -> GkmPair:
             )
 
     names = [str(i + 1) for i in range(N)]
-    edges = []
-    axial = {}
-    for i in range(N):
-        for j in range(i + 1, N):
-            edges.append((names[i], names[j]))
-            axial[(names[i], names[j])] = cov[i] - cov[j]
-    conn = {}
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            m = {names[j]: names[i]}
-            for k in range(N):
-                if k != i and k != j:
-                    m[names[k]] = names[k]
-            conn[(names[i], names[j])] = m
+    edges, axial, conn = _complete(names, cov)
     return GkmPair(n, names, edges, axial, conn)
 
 
@@ -83,18 +90,10 @@ def product(a: GkmPair, b: GkmPair) -> tuple[GkmPair, ValidationReport]:
         return f"{p}|{q}"
 
     vertices = [name(p, q) for p in a.vertices for q in b.vertices]
-    edges = []
-    axial = {}
-    for p, p2 in a.edges:
-        for q in b.vertices:
-            edges.append((name(p, q), name(p2, q)))
-            axial[(name(p, q), name(p2, q))] = a.axial_at(p, p2)
-            axial[(name(p2, q), name(p, q))] = a.axial_at(p2, p)
-    for p in a.vertices:
-        for q, q2 in b.edges:
-            edges.append((name(p, q), name(p, q2)))
-            axial[(name(p, q), name(p, q2))] = b.axial_at(q, q2)
-            axial[(name(p, q2), name(p, q))] = b.axial_at(q2, q)
+    edges = [(name(p, q), name(p2, q)) for p, p2 in a.edges for q in b.vertices]
+    edges += [(name(p, q), name(p, q2)) for p in a.vertices for q, q2 in b.edges]
+    axial = {(name(p, q), name(p2, q)): c for (p, p2), c in a.axial.items() for q in b.vertices}
+    axial.update({(name(p, q), name(p, q2)): c for (q, q2), c in b.axial.items() for p in a.vertices})
 
     conn = None
     if a.connection is not None and b.connection is not None:
@@ -125,8 +124,9 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
     The vertex p0 with star edges toward q_1 < ... < q_d (sorted by id) is
     replaced by new vertices p_i = "p0#i", each joined to its q_i and to the
     other p_j.  Axial values: old edges keep theirs, (p_i -> q_i) gets the
-    old value alpha_i of (p0 -> q_i), and (p_i -> p_j) gets alpha_j - alpha_i.
-    The inherited connection is attached when the base pair carries one.
+    old value alpha_i of (p0 -> q_i), and the p_i carry complete_graph's data
+    on the points -alpha_i, so (p_i -> p_j) gets alpha_j - alpha_i.  The
+    inherited connection is attached when the base pair carries one.
     Requires, for each i, the differences alpha_j - alpha_i (j != i) to be
     pairwise linearly independent.
     """
@@ -150,55 +150,40 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
             )
 
     ps = [f"{p0}#{i + 1}" for i in range(d)]
-    index_of = {q: i for i, q in enumerate(qs)}
+    joined = dict(zip(qs, ps))
     vertices = [v for v in pair.vertices if v != p0] + ps
-
-    kept = [e for e in pair.edges if p0 not in e]
-    edges = list(kept)
-    axial = {}
-    for p, q in kept:
-        axial[(p, q)] = pair.axial_at(p, q)
-        axial[(q, p)] = pair.axial_at(q, p)
+    # p0's place goes to the complete graph on the negated star values
+    star_edges, star_axial, star_conn = _complete(ps, [-a for a in alphas])
+    edges = [e for e in pair.edges if p0 not in e] + list(zip(ps, qs)) + star_edges
+    axial = {e: a for e, a in pair.axial.items() if p0 not in e}
     for i in range(d):
-        edges.append((ps[i], qs[i]))
         axial[(ps[i], qs[i])] = alphas[i]
-        axial[(qs[i], ps[i])] = pair.axial_at(qs[i], p0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            edges.append((ps[i], ps[j]))
-            axial[(ps[i], ps[j])] = alphas[j] - alphas[i]
-            axial[(ps[j], ps[i])] = alphas[i] - alphas[j]
+        axial[(qs[i], ps[i])] = pair.axial[(qs[i], p0)]
+    axial.update(star_axial)
 
     conn = None
     if pair.connection is not None:
         # neighbor-level rewrite: the old neighbor p0 of q_i becomes p_i
         def rewrite(v: str, r: str) -> str:
-            return ps[index_of[v]] if r == p0 else r
+            return joined[v] if r == p0 else r
 
-        maps = {}
+        conn = {}
         for u, v in pair.oriented_edges():
             if p0 in (u, v):
                 continue
             base = pair.connection[(u, v)]
-            maps[(u, v)] = {rewrite(u, r): rewrite(v, s) for r, s in base.items()}
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                m = {qs[i]: qs[j], ps[j]: ps[i]}
-                for k in range(d):
-                    if k != i and k != j:
-                        m[ps[k]] = ps[k]
-                maps[(ps[i], ps[j])] = m
+            conn[(u, v)] = {rewrite(u, r): rewrite(v, s) for r, s in base.items()}
+        conn.update(star_conn)
         for i in range(d):
             base = pair.connection[(p0, qs[i])]
             forward = {qs[i]: ps[i]}
             for j in range(d):
                 if j != i:
                     forward[ps[j]] = base[qs[j]]
-            maps[(ps[i], qs[i])] = forward
-            maps[(qs[i], ps[i])] = {s: r for r, s in forward.items()}
-        conn = maps
+                    # along p_i -> p_j the joining edge at p_i goes to the one at p_j
+                    conn[(ps[i], ps[j])][qs[i]] = qs[j]
+            conn[(ps[i], qs[i])] = forward
+            conn[(qs[i], ps[i])] = {s: r for r, s in forward.items()}
 
     out = GkmPair(pair.n, vertices, edges, axial, conn)
     blow_down = {v: v for v in pair.vertices if v != p0}

@@ -30,6 +30,7 @@ from .polyalg import (
 )
 
 OrientedEdge = tuple[str, str]
+Connection = dict[OrientedEdge, dict[str, str]]
 
 
 class GraphFormatError(InputError):
@@ -85,29 +86,14 @@ class ValidationReport:
         }
 
 
-@dataclass(eq=True, frozen=True)
-class ConnectionMap:
-    """Per oriented edge (p, q): a map from neighbors of p to neighbors of q."""
-
-    maps: Mapping[OrientedEdge, Mapping[str, str]]
-
-    def __getitem__(self, oriented_edge: OrientedEdge) -> Mapping[str, str]:
-        return self.maps[oriented_edge]
-
-    def __contains__(self, oriented_edge: OrientedEdge) -> bool:
-        return oriented_edge in self.maps
-
-    def items(self):
-        return self.maps.items()
-
-
 class GkmPair:
     """Finite simple graph with a nonzero axial covector on each oriented edge.
 
     ``edges`` keeps the input orientation of each unordered edge; ``axial``
     holds both orientations, the reverse defaulting to the negation of the
-    forward value when not given explicitly.  Instances are immutable by
-    convention.
+    forward value when not given explicitly.  ``connection`` is None or a
+    plain dict {(p, q): {neighbor of p: neighbor of q}} over every oriented
+    edge.  Instances are immutable by convention.
     """
 
     def __init__(
@@ -116,7 +102,7 @@ class GkmPair:
         vertices: Iterable[str],
         edges: Iterable[OrientedEdge],
         axial: Mapping[OrientedEdge, Covector | Sequence],
-        connection: ConnectionMap | Mapping[OrientedEdge, Mapping[str, str]] | None = None,
+        connection: Mapping[OrientedEdge, Mapping[str, str]] | None = None,
     ):
         self.n = int(n)
         if self.n < 1:
@@ -227,9 +213,7 @@ class GkmPair:
             return False
         if self.axial != other.axial:
             return False
-        mine = None if self.connection is None else {k: dict(v) for k, v in self.connection.items()}
-        theirs = None if other.connection is None else {k: dict(v) for k, v in other.connection.items()}
-        return mine == theirs
+        return self.connection == other.connection
 
     __hash__ = None
 
@@ -310,7 +294,7 @@ class GkmPair:
                 raise GraphFormatError("'connection' must be an object")
             # JSON edge indices refer to positions in the 'edges' array
             index_ends = [(p, q) for p, q, _ in records]
-            maps: dict[OrientedEdge, dict[str, str]] = {}
+            maps: Connection = {}
             for key, inner in raw_conn.items():
                 parts = key.split("->")
                 if len(parts) != 2:
@@ -356,9 +340,8 @@ class GkmPair:
             raise GraphFormatError(str(exc)) from None
 
 
-def _structural_connection(pair: GkmPair, connection) -> ConnectionMap:
-    """Check that a connection is a total family of star bijections."""
-    maps = connection.maps if isinstance(connection, ConnectionMap) else connection
+def _structural_connection(pair: GkmPair, maps) -> Connection:
+    """Check that a connection is a total family of star bijections; return a copy."""
     oriented = set(pair.oriented_edges())
     if set(maps) != oriented:
         missing = sorted(oriented - set(maps))
@@ -366,7 +349,7 @@ def _structural_connection(pair: GkmPair, connection) -> ConnectionMap:
         raise GraphFormatError(
             f"connection must cover every oriented edge exactly (missing {missing}, extra {extra})"
         )
-    out: dict[OrientedEdge, dict[str, str]] = {}
+    out: Connection = {}
     for (p, q), m in maps.items():
         dom = set(m)
         cod = set(m.values())
@@ -375,7 +358,7 @@ def _structural_connection(pair: GkmPair, connection) -> ConnectionMap:
                 f"connection along {p}->{q} is not a bijection between the stars"
             )
         out[(p, q)] = dict(m)
-    return ConnectionMap(out)
+    return out
 
 
 # --- axiom validation ----------------------------------------------------
@@ -438,7 +421,7 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
     return ValidationReport(violations, valence)
 
 
-def infer_connection(pair: GkmPair) -> ConnectionMap:
+def infer_connection(pair: GkmPair) -> Connection:
     """The unique connection compatible with the axial function, when it exists.
 
     Along each oriented edge the star residues modulo the edge form must be
@@ -446,7 +429,7 @@ def infer_connection(pair: GkmPair) -> ConnectionMap:
     admits several compatible bijections) and an unmatched residue raises
     NoConnection (the data admits none).
     """
-    maps: dict[OrientedEdge, dict[str, str]] = {}
+    maps: Connection = {}
     for p, q in pair.oriented_edges():
         form = pair.form(p, q)
         left = _star_residues(pair, p, form)
@@ -464,7 +447,7 @@ def infer_connection(pair: GkmPair) -> ConnectionMap:
                 raise AmbiguousConnection((p, q))
             m[r] = hits[0]
         maps[(p, q)] = m
-    return ConnectionMap(maps)
+    return maps
 
 
 def validate_connection(pair: GkmPair, connection) -> ValidationReport:
@@ -531,23 +514,18 @@ def subpair(pair: GkmPair, sub_vertices: Iterable[str], sub_edges: Iterable) -> 
     """Restriction of the pair to a subgraph; no connection is attached."""
     ordered, keys = _normalize_subgraph(pair, sub_vertices, sub_edges)
     edges = [e for e in pair.edges if frozenset(e) in keys]
-    axial = {}
-    for p, q in edges:
-        axial[(p, q)] = pair.axial_at(p, q)
-        axial[(q, p)] = pair.axial_at(q, p)
+    axial = {e: pair.axial[e] for p, q in edges for e in ((p, q), (q, p))}
     return GkmPair(pair.n, ordered, edges, axial)
 
 
-def subgraph_gamma_h(
-    pair: GkmPair, h_basis: Sequence[Vector | Sequence]
-) -> list[tuple[GkmPair, dict[str, str]]]:
+def subgraph_gamma_h(pair: GkmPair, h_basis: Sequence[Vector | Sequence]) -> list[GkmPair]:
     """Connected components of the subgraph of edges vanishing on a subspace.
 
     An edge survives when its axial covector annihilates every basis vector
     of the subspace.  Components are returned in order of their first vertex,
-    each as a restricted pair plus the (identity) embedding of its vertices;
-    isolated vertices come out as 0-valent single-vertex components.  Each
-    component must be regular, which holds for valid pairs.
+    each as a restricted pair; isolated vertices come out as 0-valent
+    single-vertex components.  Each component must be regular, which holds
+    for valid pairs.
     """
     basis = [v if isinstance(v, Vector) else Vector(v) for v in h_basis]
     for v in basis:
@@ -564,7 +542,7 @@ def subgraph_gamma_h(
         kept_adj[q].append(p)
 
     seen: set[str] = set()
-    out: list[tuple[GkmPair, dict[str, str]]] = []
+    out: list[GkmPair] = []
     for start in pair.vertices:
         if start in seen:
             continue
@@ -583,7 +561,7 @@ def subgraph_gamma_h(
         sub = subpair(pair, comp, comp_edges)
         if len({len(sub.neighbors(v)) for v in sub.vertices}) != 1:
             raise ValueError("subgraph component is not regular")
-        out.append((sub, {v: v for v in sub.vertices}))
+        out.append(sub)
     return out
 
 
@@ -597,7 +575,7 @@ def is_compatible_subobject(
 
 def is_totally_geodesic(
     pair: GkmPair, connection, sub_vertices: Iterable[str], sub_edges: Iterable
-) -> tuple[bool, ConnectionMap | None]:
+) -> tuple[bool, Connection | None]:
     """Whether the connection maps each sub-star onto the opposite sub-star.
 
     Returns (True, induced connection) or (False, None).
@@ -607,7 +585,7 @@ def is_totally_geodesic(
     sub_adj = {
         p: [r for r in pair.neighbors(p) if frozenset((p, r)) in keys] for p in ordered
     }
-    induced: dict[OrientedEdge, dict[str, str]] = {}
+    induced: Connection = {}
     for p, q in pair.edges:
         if frozenset((p, q)) not in keys:
             continue
@@ -616,4 +594,4 @@ def is_totally_geodesic(
             if {m[r] for r in sub_adj[a]} != set(sub_adj[b]):
                 return False, None
             induced[(a, b)] = {r: m[r] for r in sub_adj[a]}
-    return True, ConnectionMap(induced)
+    return True, induced

@@ -29,6 +29,7 @@ from .polyalg import (
     LinearForm,
     Polynomial,
     Vector,
+    _check_degree,
     graded_dim,
     monomials,
     pack_monomial,
@@ -494,6 +495,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     the omit-one-factor ideal of the parallel classes.  At the bottom
     level the filtered dimension must equal the row-rank dimension.
     """
+    _check_degree(max_k)
     o = orient(pair, xi)
     phi = positively_oriented_function(pair, o)
     d = pair.valence
@@ -576,6 +578,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
     k > valence - n up to max_k; that equality is enforced, anything else
     is only reported.
     """
+    _check_degree(max_k)
     xi = find_acyclic_xi(pair)
     n = pair.n
     d = pair.valence
@@ -605,7 +608,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
                     {"normals": [list(c) for c in chosen], "error": str(err)}
                 )
                 continue
-            for comp, _ in components:
+            for comp in components:
                 # xi is a chamber witness of the whole pair, so no edge of comp is on a wall
                 beta0 = betti(comp, xi)[0]
                 if beta0 != 1:

@@ -673,8 +673,8 @@ def monomials(n: int, k: int) -> list[Monomial]:
         for e in range(remaining, -1, -1):
             rec(prefix + (e,), remaining - e, slots - 1)
 
+    # descending e_0, then e_1, ...: all of degree k, so descending graded-lex order
     rec((), k, n)
-    out.sort(key=grlex_key, reverse=True)
     return out
 
 

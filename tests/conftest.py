@@ -1,4 +1,4 @@
-"""Shared fixtures: the standard family of small pairs, two Grassmannians and two flag varieties."""
+"""Shared fixtures: the standard family of small pairs, three Grassmannians and three flag varieties."""
 from __future__ import annotations
 
 import itertools
@@ -134,6 +134,11 @@ def gr25():
 
 
 @pytest.fixture(scope="session")
+def gr36():
+    return grassmannian(3, 6)
+
+
+@pytest.fixture(scope="session")
 def fl3():
     return flag(3)
 
@@ -141,6 +146,12 @@ def fl3():
 @pytest.fixture(scope="session")
 def fl4():
     return flag(4)
+
+
+@pytest.fixture(scope="session")
+def fl5():
+    # 120 vertices of valence 10, with its explicit connection
+    return flag(5)
 
 
 @pytest.fixture(scope="session")

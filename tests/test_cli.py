@@ -287,6 +287,20 @@ def test_negative_max_degree_exits_2(capsys, cp2_file, command):
     assert captured.out == "" and "--max-degree" in captured.err
 
 
+@pytest.mark.parametrize("command, extra, degree", [
+    ("cohdim", [], "65536"),
+    ("cohdim", [], "100000000000000000000"),
+    ("morse", [], "65536"),
+    ("morse", ["--l", "2"], "65536"),
+])
+def test_max_degree_above_the_key_limit_exits_2(capsys, cp2_file, command, extra, degree):
+    # no degree past MAX_DEGREE fits a monomial key, so it is refused before any work
+    code = main([command, cp2_file, *extra, "--max-degree", degree])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ") and "65535" in captured.err
+
+
 @pytest.mark.parametrize("command", [["integrate"], ["jk", "--sweep"]])
 def test_class_values_that_are_not_an_object_exit_2(capsys, tmp_path, cp2_file, command):
     path = tmp_path / "list_values.json"

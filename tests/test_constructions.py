@@ -109,6 +109,31 @@ def test_blow_up_rejects_bad_input(cp2):
         blow_up(star, "a")
 
 
+@pytest.mark.parametrize("name, p0", [("cp2", "1"), ("gamma4", "2"), ("k5n3", "3")])
+def test_the_exceptional_vertices_carry_the_complete_graph(request, name, p0):
+    # p0's place goes to the complete graph on the negated star values
+    pair = request.getfixturevalue(name)
+    sharp, _ = blow_up(pair, p0)
+    qs = sorted(pair.neighbors(p0))
+    ps = [f"{p0}#{i + 1}" for i in range(len(qs))]
+    expected = relabel(
+        complete_graph([-pair.axial_at(p0, q) for q in qs]),
+        {str(i + 1): p for i, p in enumerate(ps)},
+    )
+    inside = set(ps)
+    assert {frozenset(e) for e in sharp.edges if set(e) <= inside} == {
+        frozenset(e) for e in expected.edges
+    }
+    for p, q in expected.oriented_edges():
+        assert sharp.axial_at(p, q) == expected.axial_at(p, q)
+        m = sharp.connection[(p, q)]
+        assert {r: s for r, s in m.items() if r in inside} == expected.connection[(p, q)]
+        # the one other neighbor, the joining edge's end, goes to the joining edge's end
+        assert {r: s for r, s in m.items() if r not in inside} == {
+            qs[ps.index(p)]: qs[ps.index(q)]
+        }
+
+
 def test_cycle_structure(cycle4):
     assert cycle4.vertices == ("1", "2", "3", "4")
     assert cycle4.valence == 2

@@ -1,4 +1,5 @@
-"""Grassmannians Gr(2, 4), Gr(2, 5) and flag varieties Fl(3), Fl(4) against closed forms.
+"""Grassmannians Gr(2, 4), Gr(2, 5), Gr(3, 6) and flag varieties Fl(3), Fl(4),
+Fl(5) against closed forms.
 
 Every expected value here comes from a formula the test evaluates itself:
 Gaussian binomial coefficients and inversion counts for the Betti numbers,
@@ -159,6 +160,34 @@ def test_flag_known_answers(request, name, N, betti, dims):
             running = running + sweep["perVertexResidues"][p]
             assert running == value
         assert running == Polynomial.zero(n)
+
+
+# Gr(3, 6) and Fl(5): the axioms, Betti numbers, chambers and the class
+# dimensions up to a top degree that keeps each case well under a second
+# (Fl(5) at degree 3 alone takes about that long).
+LARGER = [
+    ("gr36", 6, gaussian_binomial(6, 3), [1, 1, 2, 3, 3, 3, 3, 2, 1, 1], [1, 6, 22, 63]),
+    ("fl5", 5, inversion_counts(5), [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1], [1, 8, 35]),
+]
+
+
+@pytest.mark.parametrize("name, N, betti, listed_betti, dims", LARGER)
+def test_the_larger_formulas_give_the_listed_values(name, N, betti, listed_betti, dims):
+    assert betti == listed_betti
+    assert [class_dimension(betti, N - 1, k) for k in range(len(dims))] == dims
+
+
+@pytest.mark.parametrize("name, N, betti, listed_betti, dims", LARGER)
+def test_larger_known_answers(request, name, N, betti, listed_betti, dims):
+    pair = request.getfixturevalue(name)
+    assert pair.n == N - 1
+    assert validate_axial(pair).ok
+    assert validate_connection(pair, pair.connection).ok
+    report = betti_invariance_check(pair)
+    assert report["invariant"] and report["betti"] == betti
+    assert report["chambers_found"] == math.factorial(N)
+    ks = range(len(dims))
+    assert [coh_dim(pair, k) for k in ks] == [class_dimension(betti, N - 1, k) for k in ks]
 
 
 def flag_integral(N: int) -> int:

@@ -34,7 +34,7 @@ from gkmcalc.morse_betti import (
     wall_crossing_check,
 )
 from gkmcalc import cli, linalg, morse_betti
-from gkmcalc.polyalg import Covector, Polynomial, graded_dim, monomials, pair as pairing
+from gkmcalc.polyalg import Covector, InputError, Polynomial, graded_dim, monomials, pair as pairing
 
 
 def _cyclic_triangle():
@@ -399,6 +399,14 @@ def test_equality_report_on_the_cycle(cycle4):
     assert all(row["equal"] for row in out["table"])
     # the degree-zero row in particular: one component, beta_0 = 1
     assert out["table"][0]["lhs"] == out["table"][0]["rhs"] == 1
+
+
+def test_degrees_past_the_key_limit_are_refused(cp2):
+    # 65535 is the largest total degree a monomial key holds
+    with pytest.raises(InputError, match="limit 65535"):
+        morse_inequalities(cp2, Vector([1, 2]), 65536)
+    with pytest.raises(InputError, match="limit 65535"):
+        betti_equality_report(cp2, 2, 65536)
 
 
 def test_equality_report_records_hypothesis_failures():
