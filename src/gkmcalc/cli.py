@@ -46,7 +46,16 @@ from .morse_betti import (
     orient,
     positively_oriented_function,
 )
-from .polyalg import Covector, InputError, Polynomial, Vector, _check_degree, _unpack, residue, spell
+from .polyalg import (
+    Covector,
+    InputError,
+    Polynomial,
+    Vector,
+    _check_max_degree,
+    _unpack,
+    residue,
+    spell,
+)
 
 
 def _load_json(path: str):
@@ -160,9 +169,7 @@ def cmd_validate(args):
 
 
 def cmd_cohdim(args):
-    if args.max_degree < 0:
-        raise InputError(f"--max-degree must be nonnegative, got {args.max_degree}")
-    _check_degree(args.max_degree)
+    _check_max_degree(args.max_degree)
     gpair = _load_pair(args.graph)
     dims = {}
     for k in range(args.max_degree + 1):
@@ -228,9 +235,7 @@ def cmd_betti(args):
 
 
 def cmd_morse(args):
-    if args.max_degree < 0:
-        raise InputError(f"--max-degree must be nonnegative, got {args.max_degree}")
-    _check_degree(args.max_degree)
+    _check_max_degree(args.max_degree)
     gpair = _load_pair(args.graph)
     xi = _xi_from(args.xi, gpair)
     doc = dict(morse_inequalities(gpair, xi, args.max_degree))

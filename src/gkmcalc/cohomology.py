@@ -10,9 +10,9 @@ re-checked against the compatibility condition.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from . import linalg
 from .constructions import blow_up
@@ -21,11 +21,12 @@ from .polyalg import (
     InputError,
     Monomial,
     Polynomial,
+    _add_into,
+    _divide_by_line,
     _reduction_table,
     as_fraction,
     monomials,
     pack_monomial,
-    reduce_mod_line,
 )
 
 
@@ -147,10 +148,12 @@ def is_class(
     """Edge-compatibility check; returns (ok, first failing edge or None).
 
     An edge is compatible when its form divides f(p) - f(q) exactly, which
-    is the same as a zero normal form modulo the form (``reduce_mod_line``).
-    Values must be homogeneous of a single common degree; mixing degrees
-    raises.  A candidate on the wrong vertex set or in the wrong ring is
-    unusable input and raises InputError.
+    is the same as a zero normal form modulo the form (``reduce_mod_line``):
+    the remainder of ``_divide_by_line`` on the integer numerator map
+    f(p) * den(q) - f(q) * den(p) must be empty.  Values must be
+    homogeneous of a single common degree; mixing degrees raises.  A
+    candidate on the wrong vertex set or in the wrong ring is unusable
+    input and raises InputError.
     """
     values = candidate.values if isinstance(candidate, CohClass) else candidate
     if set(values) != set(pair.vertices):
@@ -160,8 +163,10 @@ def is_class(
             raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
     _common_degree(values)
     for p, q in pair.edges:
-        diff = values[p] - values[q]
-        if not reduce_mod_line(diff, pair.form(p, q)).is_zero():
+        fp, fq = values[p], values[q]
+        diff = {k: c * fq._den for k, c in fp._terms.items()}
+        _add_into(diff, fq._terms, -fp._den)
+        if _divide_by_line(diff, pair.n, pair.form(p, q))[1]:
             return False, (p, q)
     return True, None
 

@@ -10,7 +10,7 @@ of p0's neighbors.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import linalg
 from .gkm_core import GkmPair, ValidationReport, validate_axial

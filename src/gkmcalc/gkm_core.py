@@ -16,8 +16,8 @@ raise GraphFormatError at construction time.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from .polyalg import (
     Covector,

@@ -11,9 +11,9 @@ are required to agree exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .cohomology import CohClass
 from .gkm_core import GkmPair, OrientedEdge
@@ -25,12 +25,14 @@ from .polyalg import (
     LocalizedTerm,
     Polynomial,
     Vector,
+    _expansion,
+    _project,
+    _residue_forms,
+    _series,
     as_fraction,
     pair as pairing,
     polynomial_sum,
-    project_along,
     project_covector,
-    residue,
 )
 
 
@@ -47,9 +49,16 @@ def pushforward_localized_sum(pair: GkmPair, f: CohClass) -> LocalizedSum:
     return LocalizedSum(pair.n, tuple(terms))
 
 
-def _check_ring(pair: GkmPair, f: CohClass) -> None:
-    """Raise InputError unless every value of f lives in the pair's ring."""
-    for v, value in f.values.items():
+def _check_class(pair: GkmPair, f: CohClass) -> None:
+    """Raise InputError unless f has a value in the pair's ring at exactly the pair's vertices."""
+    values = f.values
+    for v in pair.vertices:
+        if v not in values:
+            raise InputError(f"class has no value at vertex {v!r}")
+    if len(values) != len(pair.vertices):
+        extra = next(v for v in values if v not in pair.vertices)
+        raise InputError(f"class has a value at {extra!r}, which is not a vertex of the pair")
+    for v, value in values.items():
         if value.n != pair.n:
             raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
 
@@ -68,7 +77,7 @@ def integrate(pair: GkmPair, f: CohClass) -> Polynomial:
     A residual denominator after simplification means the input was not a
     class (or the pair invalid) and raises NonPolynomialResultError.
     """
-    _check_ring(pair, f)
+    _check_class(pair, f)
     return _pushforward(pushforward_localized_sum(pair, f), f.degree - pair.valence, "pushforward")
 
 
@@ -115,11 +124,26 @@ def cross_section(pair: GkmPair, cut: LevelCut) -> list[OrientedEdge]:
     return _crossing_edges(pair, cut.phi, cut.c)
 
 
-def _kirwan_image(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> Polynomial:
+def _expander(f: CohClass, xi: Vector) -> Callable[[str], list[dict[int, int]]]:
+    """Each vertex value's expansion along xi (``_expansion``), computed on first use."""
+    taylors: dict[str, list[dict[int, int]]] = {}
+
+    def expansion(p: str) -> list[dict[int, int]]:
+        got = taylors.get(p)
+        if got is None:
+            got = taylors[p] = _expansion(f.value(p), xi)
+        return got
+
+    return expansion
+
+
+def _kirwan_image(
+    pair: GkmPair, xi: Vector, f: CohClass, expansion: Callable, p: str, q: str
+) -> Polynomial:
     """Common projection of f(p) and f(q) along the form of the edge (p, q)."""
     form = pair.form(p, q)
-    image_p = project_along(f.value(p), form, xi)
-    image_q = project_along(f.value(q), form, xi)
+    image_p = _project(f.value(p), expansion(p), form, xi)
+    image_q = _project(f.value(q), expansion(q), form, xi)
     if image_p != image_q:
         raise IntegrityError(f"edge ({p!r}, {q!r}): end values project differently")
     return image_p
@@ -133,13 +157,19 @@ def kirwan_map(
     Values are projected into the subring annihilating xi along the edge
     form; the p- and q-side images must agree exactly.
     """
-    _check_ring(pair, f)
-    return {(p, q): _kirwan_image(pair, cut.xi, f, p, q) for p, q in cross_section(pair, cut)}
+    _check_class(pair, f)
+    expansion = _expander(f, cut.xi)
+    return {
+        (p, q): _kirwan_image(pair, cut.xi, f, expansion, p, q)
+        for p, q in cross_section(pair, cut)
+    }
 
 
-def _edge_term(pair: GkmPair, xi: Vector, f: CohClass, p: str, q: str) -> LocalizedTerm:
+def _edge_term(
+    pair: GkmPair, xi: Vector, f: CohClass, expansion: Callable, p: str, q: str
+) -> LocalizedTerm:
     """(1/m_e) f(e) over the projected star forms of the upper vertex p of (p, q)."""
-    value = _kirwan_image(pair, xi, f, p, q)
+    value = _kirwan_image(pair, xi, f, expansion, p, q)
     alpha_qe = pair.axial_at(q, p)
     m_e = pairing(alpha_qe, xi)
     if m_e <= 0:
@@ -176,10 +206,13 @@ def _cut_pushforwards(
     degree k - d + 1, and must equal the sum of the residues of f(p) over
     the stars of the vertices below the level; a disagreement raises
     IntegrityError.  A term depends only on its oriented edge and a
-    residue only on its vertex, so each is computed once for all levels.
-    Returns the results and the residues computed, by vertex.
+    residue only on its vertex, so each is computed once for all levels,
+    and both ends' Kirwan images and the series residue of a vertex share
+    one expansion of its value along xi.  Returns the results and the
+    residues computed, by vertex.
     """
-    _check_ring(pair, f)
+    _check_class(pair, f)
+    expansion = _expander(f, xi)
     expected = f.degree - pair.valence + 1
     terms: dict[OrientedEdge, LocalizedTerm] = {}
     residues: dict[str, Polynomial] = {}
@@ -188,13 +221,15 @@ def _cut_pushforwards(
         crossing = _crossing_edges(pair, phi, c)
         for e in crossing:
             if e not in terms:
-                terms[e] = _edge_term(pair, xi, f, *e)
+                terms[e] = _edge_term(pair, xi, f, expansion, *e)
         numerator = _pushforward(LocalizedSum(pair.n, tuple(terms[e] for e in crossing)),
                                  expected, "cross-section pushforward")
         below = [p for p in pair.vertices if phi[p] < c]
         for p in below:
             if p not in residues:
-                residues[p] = residue(f.value(p), [a for _, a in pair.star_forms(p)], xi)
+                value = f.value(p)
+                forms = _residue_forms(value, [a for _, a in pair.star_forms(p)], xi)
+                residues[p] = _series(value, expansion(p), forms, xi)
         per_vertex = {p: residues[p] for p in below}
         if sum(per_vertex.values(), Polynomial.zero(pair.n)) != numerator:
             raise IntegrityError("cross-section sum and residue sum disagree")

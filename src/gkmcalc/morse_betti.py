@@ -17,9 +17,9 @@ import graphlib
 import itertools
 import math
 import operator
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping, Sequence
 
 from . import linalg
 from .cohomology import coh_dim, compatibility_rows
@@ -29,7 +29,7 @@ from .polyalg import (
     LinearForm,
     Polynomial,
     Vector,
-    _check_degree,
+    _check_max_degree,
     graded_dim,
     monomials,
     pack_monomial,
@@ -495,7 +495,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     the omit-one-factor ideal of the parallel classes.  At the bottom
     level the filtered dimension must equal the row-rank dimension.
     """
-    _check_degree(max_k)
+    _check_max_degree(max_k)
     o = orient(pair, xi)
     phi = positively_oriented_function(pair, o)
     d = pair.valence
@@ -578,7 +578,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
     k > valence - n up to max_k; that equality is enforced, anything else
     is only reported.
     """
-    _check_degree(max_k)
+    _check_max_degree(max_k)
     xi = find_acyclic_xi(pair)
     n = pair.n
     d = pair.valence

@@ -8,7 +8,9 @@ packs an exponent tuple into one int of 16-bit fields, the total degree in
 the top field and then e_0 ... e_{n-1}, so multiplying monomials adds keys
 and graded-lexicographic order (total degree first, then the exponent
 tuple) is int order.  Exponents and total degrees above ``MAX_DEGREE`` =
-65535 raise ``InputError``.
+65535 raise ``InputError``.  Coefficients and coordinates given as text go
+through one parser (``_rational``), which reads plain ``a`` and ``a/b``
+with ``int`` and hands every other spelling to ``as_fraction``.
 
 A covector is a linear functional on the acting torus's Lie algebra,
 written in coordinates; a vector lives in the algebra itself.  Both are
@@ -29,7 +31,9 @@ The residue of ``f / prod(alpha_i)`` along a direction ``xi`` is
 implemented twice, by a truncated geometric-series expansion and by a
 partial-fraction formula, checked against each other in the test suite.
 Both rest on one kernel, ``_taylor``: the divided derivatives of f along
-xi on integer numerators.  Past it they stay independent.  The series
+xi on integer numerators.  Past it they stay independent; ``_project``
+and ``_series`` take an expansion already made, so a caller that needs
+several projections or a residue of one value expands it once.  The series
 route reads the expansion of f in the xi direction off the kernel and
 expands prod(1/alpha_i) through the complete homogeneous symmetric
 polynomials h_m; the formula route projects f along each form
@@ -49,9 +53,9 @@ import itertools
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -91,6 +95,29 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"exact rational required, got {value!r}")
 
 
+def _rational(value: int | str | Fraction) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational, not necessarily in lowest terms.
+
+    An int, or an ASCII string ``a`` or ``a/b`` (optional sign on a, digits
+    only, b nonzero), is read with ``int``; anything else goes through
+    ``as_fraction``, so every rejection raises what ``as_fraction`` raises.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] in ("+", "-") else num).isdigit() and (not slash or den.isdigit()):
+            try:
+                a, b = int(num), int(den) if slash else 1
+            except ValueError:  # past the digit limit of int parsing
+                pass
+            else:
+                if b:
+                    return a, b
+    q = as_fraction(value)
+    return q.numerator, q.denominator
+
+
 def grlex_key(exp: Monomial) -> tuple[int, Monomial]:
     return (sum(exp), exp)
 
@@ -98,6 +125,13 @@ def grlex_key(exp: Monomial) -> tuple[int, Monomial]:
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
         raise InputError(f"total degree {d} is above the limit {MAX_DEGREE} of monomial keys")
+
+
+def _check_max_degree(k: int) -> None:
+    """A bound on degrees must be nonnegative and at most ``MAX_DEGREE``."""
+    if k < 0:
+        raise InputError(f"--max-degree must be nonnegative, got {k}")
+    _check_degree(k)
 
 
 def pack_monomial(exp: Monomial) -> int:
@@ -140,11 +174,12 @@ class _Coords:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coords: Iterable[int | str | Fraction]):
-        qs = [as_fraction(c) for c in coords]
-        # cleared to the lcm of their denominators, reduced fractions stay in lowest terms
-        den = math.lcm(*(q.denominator for q in qs))
-        self._num = tuple(q.numerator * (den // q.denominator) for q in qs)
-        self._den = den
+        pairs = [_rational(c) for c in coords]
+        den = math.lcm(*(b for _, b in pairs))
+        num = tuple(a * (den // b) for a, b in pairs)
+        g = math.gcd(den, *num)
+        self._num = num if g == 1 else tuple(a // g for a in num)
+        self._den = den // g
 
     @classmethod
     def _raw(cls, num: tuple[int, ...], den: int = 1):
@@ -242,14 +277,21 @@ def _key(exp: Monomial, n: int) -> int:
     return pack_monomial(exp)
 
 
-def _clear(pairs: Iterable[tuple[int, Fraction]]) -> tuple[dict[int, int], int]:
-    """Sum per key, drop zeros, clear to numerators over the lcm (so in lowest terms)."""
-    acc: dict[int, Fraction] = {}
-    for key, q in pairs:
-        prev = acc.get(key)
-        acc[key] = q if prev is None else prev + q
-    den = math.lcm(*(q.denominator for q in acc.values() if q))
-    return {k: q.numerator * (den // q.denominator) for k, q in acc.items() if q}, den
+def _clear(terms: list[tuple[int, int, int]]) -> tuple[dict[int, int], int]:
+    """Sum (key, numerator, denominator) triples per key over the lcm of the denominators.
+
+    Zeros are dropped and the result is reduced to lowest terms.
+    """
+    den = math.lcm(*(b for _, _, b in terms))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, a, b in terms:
+        acc[key] = get(key, 0) + a * (den // b)
+    acc = {k: c for k, c in acc.items() if c}
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        acc, den = {k: c // g for k, c in acc.items()}, den // g
+    return acc, den
 
 
 def _mul_terms(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
@@ -330,7 +372,7 @@ class Polynomial:
             raise ValueError("variable count must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
         self._terms, self._den = _clear(
-            (_key(tuple(int(e) for e in exp), self.n), as_fraction(coef)) for exp, coef in items
+            [(_key(tuple(int(e) for e in exp), self.n), *_rational(coef)) for exp, coef in items]
         )
 
     # --- constructors -------------------------------------------------
@@ -570,8 +612,8 @@ class Polynomial:
                 not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp
             ):
                 raise ValueError(f"bad exponent list {exp!r}")
-            terms.append((tuple(exp), as_fraction(entry["coef"])))
-        return cls._raw(n, *_clear((_key(exp, n), q) for exp, q in terms))
+            terms.append((tuple(exp), *_rational(entry["coef"])))
+        return cls._raw(n, *_clear([(_key(exp, n), a, b) for exp, a, b in terms]))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -594,10 +636,11 @@ class LinearForm:
     """A nonzero covector together with its canonical primitive representative.
 
     Two forms are parallel exactly when their canonical integer tuples agree,
-    and ``covector == scale * canonical``.
+    and ``covector == scale * canonical``; the scale is kept as the integer
+    ``_g`` over the covector's denominator.
     """
 
-    __slots__ = ("covector", "canonical", "scale")
+    __slots__ = ("covector", "canonical", "_g")
 
     def __init__(self, covector: Covector | Iterable):
         if not isinstance(covector, Covector):
@@ -608,7 +651,11 @@ class LinearForm:
         num = covector._num
         g = math.gcd(*num) if next(a for a in num if a) > 0 else -math.gcd(*num)
         self.canonical = tuple(a // g for a in num)
-        self.scale = Fraction(g, covector._den)
+        self._g = g
+
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(self._g, self.covector._den)
 
     @property
     def n(self) -> int:
@@ -778,12 +825,25 @@ def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
     return Polynomial._raw(f.n, quotient).scaled(1 / (f._den * lift * form.scale))
 
 
+def _expansion(f: Polynomial, xi: Vector) -> list[dict[int, int]]:
+    """``_taylor`` of f's numerator map along xi's numerators."""
+    return _taylor(f._terms, f.n, xi._num)
+
+
 def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
     """Push f into the subring annihilating xi using the form's direction.
 
     Every generator beta goes to beta - (beta(xi)/form(xi)) * form, which is
     the identification of the form's kernel functions with functions on the
     annihilator of xi.  Requires form(xi) != 0.
+    """
+    return _project(f, _expansion(f, xi), form, xi)
+
+
+def _project(
+    f: Polynomial, taylor: list[dict[int, int]], form: LinearForm, xi: Vector
+) -> Polynomial:
+    """``project_along`` from f's expansion along xi.
 
     On numerators, with S = a(xi): f(x - (a(x)/S) xi) = sum_r (-a(x)/S)**r T_r,
     by Horner in -a(x) over S**K for the last Taylor index K.
@@ -795,7 +855,6 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
     if s < 0:
         s, a = -s, [-ai for ai in a]
     minus_a = {_unit(n, i): -ai for i, ai in enumerate(a) if ai}
-    taylor = _taylor(f._terms, n, xi._num)
     acc, lift = taylor[-1], 1
     for part in reversed(taylor[:-1]):
         acc = _mul_terms(acc, minus_a)
@@ -855,38 +914,46 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
 
     Each nonzero term's map is multiplied by the canonical lines its
     denominators lack from the least common one (``_mul_terms``) and added
-    at the integer factor that puts 1 / (den * prod(form.scale)) over one
-    common denominator.  The lines are then divided out in sorted order
-    (``_divide_by_line``) while the remainder is empty, each lift joining
-    the denominator.  The returned denominators are sorted canonical forms.
+    at the integer factor that puts its scale den * prod(form.scale), kept
+    as an integer numerator and denominator, over one common denominator.
+    The lines are then divided out in sorted order (``_divide_by_line`` by
+    an input form on the line) while the remainder is empty, each lift
+    joining the denominator.  The returned denominators are sorted
+    canonical forms.
     """
     n = lsum.n
     prepared = []
     lcd: Counter[Monomial] = Counter()
+    carriers: dict[Monomial, LinearForm] = {}
     for term in lsum.terms:
         num, dens = term.numerator, term.denominators
         if num._terms:
-            mult = Counter(form.canonical for form in dens)
+            mult: Counter[Monomial] = Counter()
+            up, down = num._den, 1
+            for form in dens:
+                mult[form.canonical] += 1
+                carriers[form.canonical] = form
+                up *= form._g
+                down *= form.covector._den
             lcd |= mult
-            prepared.append((num._terms, num._den * math.prod(form.scale for form in dens), mult))
+            prepared.append((num._terms, up, down, mult))
     if not prepared:
         return Polynomial.zero(n), ()
     # the lines go in one at a time, so the first product past the limit has degree MAX_DEGREE + 1
     width, size = _BITS * n, sum(lcd.values())
-    top = max((max(terms) >> width) + size - mult.total() for terms, _, mult in prepared)
+    top = max((max(terms) >> width) + size - mult.total() for terms, _, _, mult in prepared)
     _check_degree(min(top, MAX_DEGREE + 1))
     lines = {key: {_unit(n, i): c for i, c in enumerate(key) if c} for key in lcd}
-    den = math.lcm(*(r.numerator for _, r, _ in prepared))
+    den = math.lcm(*(up for _, up, _, _ in prepared))
     numerator: dict[int, int] = {}
-    for terms, r, mult in prepared:
+    for terms, up, down, mult in prepared:
         for key, m in lcd.items():
             for _ in range(m - mult[key]):
                 terms = _mul_terms(terms, lines[key])
-        _add_into(numerator, terms, den // r.numerator * r.denominator)
-    canon = {key: LinearForm(Covector._raw(key)) for key in lcd}
+        _add_into(numerator, terms, den // up * down)
     for key in sorted(lcd):
         while lcd[key] and numerator:
-            quotient, remainder, lift = _divide_by_line(numerator, n, canon[key])
+            quotient, remainder, lift = _divide_by_line(numerator, n, carriers[key])
             if remainder:
                 break
             numerator, den = quotient, den * lift
@@ -895,6 +962,7 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
         return Polynomial.zero(n), ()
     if den < 0:
         numerator, den = {k: -c for k, c in numerator.items()}, -den
+    canon = {key: LinearForm(Covector._raw(key)) for key, m in lcd.items() if m}
     return Polynomial._raw(n, numerator, den), tuple(canon[key] for key in sorted(lcd.elements()))
 
 
@@ -933,6 +1001,13 @@ def _residue_series(f: Polynomial, forms: Sequence[LinearForm], xi: Vector) -> P
     xi, with M_i = alpha_i(u) and L = lcm(M_i), the betas are c_i / L for
     c_i = -(L/M_i) alpha_i(y); every scalar waits for one division at the end.
     """
+    return _series(f, _expansion(f, xi), forms, xi)
+
+
+def _series(
+    f: Polynomial, taylor: list[dict[int, int]], forms: Sequence[LinearForm], xi: Vector
+) -> Polynomial:
+    """``_residue_series`` from f's expansion along xi."""
     n, d, u = f.n, len(forms), xi._num
     j = next((i for i, c in enumerate(u) if c), None)
     if j is None:
@@ -951,7 +1026,6 @@ def _residue_series(f: Polynomial, forms: Sequence[LinearForm], xi: Vector) -> P
             for a in range(1, mmax + 1):
                 _add_into(series[a], _mul_terms(series[a - 1], c))
     shift = _BITS * (n - 1 - j)
-    taylor = _taylor(f._terms, n, u)
     q: dict[int, int] = {}  # R * den(f) * prod M_i * L**mmax / (den(xi) * prod den(alpha_i))
     for r in range(max(d - 1, 0), min(len(taylor), mmax + d)):
         g = {k: c for k, c in taylor[r].items() if not k >> shift & _MASK}
@@ -980,15 +1054,29 @@ def _residue_formula(
     n = f.n
     if parallel_pairs(forms):
         raise InputError("formula method needs pairwise independent forms")
+    taylor = _expansion(f, xi)
     terms = []
     for i, fi in enumerate(forms):
-        ki = project_along(f, fi, xi)
+        ki = _project(f, taylor, fi, xi)
         dens = [LinearForm(project_covector(fj.covector, fi, xi))
                 for j, fj in enumerate(forms) if j != i]
         terms.append(LocalizedTerm(ki.scaled(1 / fi.evaluate(xi)), tuple(dens)))
     return polynomial_sum(
         LocalizedSum(n, tuple(terms)), "residue formula did not collapse to a polynomial"
     )
+
+
+def _residue_forms(
+    f: Polynomial, alphas: Sequence[LinearForm | Covector | Iterable], xi: Vector
+) -> list[LinearForm]:
+    """The alphas as forms, once f, xi and every form share a ring and no form vanishes on xi."""
+    forms = _coerce_forms(alphas)
+    if f.n != xi.n or any(form.n != xi.n for form in forms):
+        raise InputError("dimension mismatch")
+    for idx, form in enumerate(forms):
+        if not sum(map(operator.mul, form.covector._num, xi._num)):
+            raise ValueError(f"denominator {idx} vanishes on xi")
+    return forms
 
 
 def residue(
@@ -1003,12 +1091,7 @@ def residue(
     xi; it does not depend on a choice of complement to xi.  Every alpha_i
     must be nonzero on xi.
     """
-    forms = _coerce_forms(alphas)
-    if f.n != xi.n or any(form.n != xi.n for form in forms):
-        raise InputError("dimension mismatch")
-    for idx, form in enumerate(forms):
-        if form.evaluate(xi) == 0:
-            raise ValueError(f"denominator {idx} vanishes on xi")
+    forms = _residue_forms(f, alphas, xi)
     if method == "series":
         return _residue_series(f, forms, xi)
     if method == "formula":

@@ -136,6 +136,38 @@ def test_class_predicate(cp2):
         as_class(cp2, bad)
 
 
+def _first_failing_edge(pair, values):
+    """The first edge whose difference has a nonzero normal form modulo its form."""
+    for p, q in pair.edges:
+        if not reduce_mod_line(values[p] - values[q], pair.form(p, q)).is_zero():
+            return False, (p, q)
+    return True, None
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_class_check_matches_the_normal_form(family, data):
+    name, pair = data.draw(st.sampled_from(family))
+    d = pair.valence
+    chern = [chern_class(pair, k) for k in range(1, d + 1)]
+    k = data.draw(st.integers(1, 3))
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    # a combination of products of Chern classes, all of degree k
+    total = zero_class(pair, k)
+    for _ in range(data.draw(st.integers(1, 3))):
+        product = constant_class(pair, 1)
+        while product.degree < k:
+            product = product * chern[data.draw(st.integers(1, min(d, k - product.degree))) - 1]
+        total = total + product.scaled(data.draw(coefs))
+    assert is_class(pair, total.values) == (True, None) == _first_failing_edge(pair, total.values)
+    values = dict(total.values)
+    p = data.draw(st.sampled_from(pair.vertices))
+    exp = data.draw(st.sampled_from(monomials(pair.n, k)))
+    values[p] = values[p] + Polynomial(pair.n, {exp: data.draw(coefs)})
+    assert is_class(pair, values) == _first_failing_edge(pair, values), name
+
+
 def test_class_algebra(cp2):
     c1 = chern_class(cp2, 1)
     c2 = chern_class(cp2, 2)

@@ -20,7 +20,7 @@ from gkmcalc import (
     jk_pushforward,
     residue,
 )
-from gkmcalc import localization
+from gkmcalc import localization, polyalg
 from gkmcalc.cohomology import CohClass, constant_class, thom_class_vertex
 from gkmcalc.localization import (
     cross_section,
@@ -230,13 +230,13 @@ def test_thom_classes_integrate_to_one(family):
 
 def _count_projections(monkeypatch):
     calls = []
-    real = localization.project_along
+    real = localization._project
 
-    def counted(f, form, xi):
+    def counted(f, taylor, form, xi):
         calls.append(1)
-        return real(f, form, xi)
+        return real(f, taylor, form, xi)
 
-    monkeypatch.setattr(localization, "project_along", counted)
+    monkeypatch.setattr(localization, "_project", counted)
     return calls
 
 
@@ -332,3 +332,47 @@ def test_a_class_from_another_ring_is_an_input_error(cp2, m):
     for call in calls:
         with pytest.raises(InputError, match="value at '1' is not a polynomial in the ambient ring"):
             call()
+
+
+@pytest.mark.parametrize("drop, extra", [("3", None), (None, "4")])
+def test_a_class_on_another_vertex_set_is_an_input_error(cp2, drop, extra):
+    values = {v: Polynomial.constant(2, 1) for v in cp2.vertices if v != drop}
+    if extra:
+        values[extra] = Polynomial.constant(2, 1)
+    f = CohClass(0, values)
+    xi = Vector((1, 2))
+    phi = positively_oriented_function(cp2, xi)
+    hi, lo = LevelCut(xi, phi, Fraction(-1, 2)), LevelCut(xi, phi, Fraction(-3, 2))
+    message = "class has no value at vertex '3'" if drop else "class has a value at '4'"
+    calls = [
+        lambda: integrate(cp2, f),
+        lambda: kirwan_map(cp2, hi, f),
+        lambda: jk_pushforward(cp2, hi, f),
+        lambda: wall_crossing_step(cp2, hi, lo, f),
+        lambda: full_sweep(cp2, xi, f),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=message):
+            call()
+
+
+# --- one Taylor expansion per vertex value --------------------------------------
+
+
+def test_full_sweep_expands_each_vertex_value_once(monkeypatch):
+    k5 = complete_graph([(t, t * t) for t in range(1, 6)])
+    f = chern_class(k5, 1) ** 4
+    owner = {id(f.value(p)._terms): p for p in k5.vertices}
+    assert len(owner) == len(k5.vertices)
+    expanded = []
+    real = polyalg._taylor
+
+    def counted(terms, n, xi_num):
+        if id(terms) in owner:
+            expanded.append(owner[id(terms)])
+        return real(terms, n, xi_num)
+
+    monkeypatch.setattr(polyalg, "_taylor", counted)
+    out = full_sweep(k5, find_acyclic_xi(k5), f)
+    assert sorted(expanded) == sorted(k5.vertices)
+    assert any(not r.is_zero() for r in out["perVertexResidues"].values())

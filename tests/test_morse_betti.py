@@ -4,8 +4,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -959,3 +959,11 @@ def test_an_orientation_stands_in_for_its_direction(family, gr24, gr25):
         o = orient(pair, xi)
         assert betti(pair, o) == betti(pair, xi), name
         assert positively_oriented_function(pair, o) == positively_oriented_function(pair, xi), name
+
+
+def test_negative_degree_bounds_are_refused(cp2):
+    # the message cmd_morse prints for --max-degree -1
+    with pytest.raises(InputError, match="^--max-degree must be nonnegative, got -1$"):
+        morse_inequalities(cp2, Vector([1, 2]), -1)
+    with pytest.raises(InputError, match="^--max-degree must be nonnegative, got -3$"):
+        betti_equality_report(cp2, 2, -3)

@@ -23,6 +23,7 @@ from gkmcalc.polyalg import (
     Polynomial,
     Vector,
     _divide_by_line,
+    _rational,
     _unit,
     as_fraction,
     divides_exactly,
@@ -30,6 +31,7 @@ from gkmcalc.polyalg import (
     grlex_key,
     is_polynomial_via_residues,
     monomials,
+    pack_monomial,
     pair,
     parallel_pairs,
     project_along,
@@ -1310,6 +1312,92 @@ def test_from_json_spellings_and_limits():
     with pytest.raises(InputError, match="65535"):
         Polynomial.from_json({"n": 2, "terms": [{"exp": [40000, 30000], "coef": "1"}]})
     assert Polynomial.from_json({"n": 0, "terms": []}) == Polynomial.zero(0)
+
+
+# --- the rational parser against Fraction ------------------------------------
+
+_RATIONAL_CHARS = "0123456789+-/ _.eE\t\n\u3000３٣²"
+rational_texts = st.one_of(
+    st.text(alphabet=_RATIONAL_CHARS, max_size=8),
+    st.from_regex(r"\A[ ]?[+-]?[0-9]{1,12}(/[0-9]{1,12})?[ ]?\Z"),
+    st.text(max_size=6),
+)
+
+
+@seed(20261019)
+@settings(max_examples=800, deadline=None)
+@given(rational_texts)
+@example("３")
+@example("1_0")
+@example(" -3/6 ")
+@example("+3")
+@example("-0")
+@example("1.5")
+@example("1e3")
+@example("3/0")
+@example("3 /4")
+@example("9" * 5000)
+@example("1/" + "9" * 5000)
+def test_rational_parser_agrees_with_fraction(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as refused:
+            as_fraction(text)
+        with pytest.raises(InputError) as got:
+            _rational(text)
+        assert str(got.value) == str(refused.value)
+        return
+    a, b = _rational(text)
+    assert type(a) is int and type(b) is int and b > 0 and Fraction(a, b) == want
+
+
+def test_rational_parser_refuses_what_as_fraction_refuses():
+    for value in (1.5, 2.0, True, False, None, [1]):
+        with pytest.raises(TypeError) as refused:
+            as_fraction(value)
+        with pytest.raises(TypeError) as got:
+            _rational(value)
+        assert str(got.value) == str(refused.value)
+    assert _rational(-7) == (-7, 1) and _rational(Fraction(-6, 4)) == (-3, 2)
+
+
+def _accepted(text) -> bool:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _cleared(qs):
+    """Fractions cleared to the lcm of their reduced denominators: (numerators, lcm)."""
+    den = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.from_regex(r"\A[ ]?[+-]?[0-9]{1,6}(/[0-9]{1,6})?[ ]?\Z").filter(_accepted),
+    st.sampled_from(["３", "1_0", " -3/6 ", "+3", "-0", "1.5", "1e3", "٣/4", "\t7\n"]).filter(_accepted),
+    st.integers(-9, 9),
+), min_size=1, max_size=6))
+def test_loaders_store_what_the_fraction_route_stores(coefs):
+    qs = [Fraction(c) for c in coefs]
+    nums, den = _cleared(qs)
+    cov = Covector(coefs)
+    assert (list(cov._num), cov._den) == (nums, den)
+    exps = [[i % 2, i % 3] for i in range(len(coefs))]
+    p = Polynomial.from_json({"n": 2, "terms": [{"exp": e, "coef": c}
+                                                for e, c in zip(exps, coefs)]})
+    sums: dict = {}
+    for e, q in zip(exps, qs):
+        sums[tuple(e)] = sums.get(tuple(e), 0) + q
+    kept = {e: q for e, q in sums.items() if q}
+    nums, den = _cleared(list(kept.values()))
+    want = {pack_monomial(e): a for e, a in zip(kept, nums)}
+    assert (p._terms, p._den) == (want, den)
 
 
 # --- the Taylor kernel against the frozen Horner routes -----------------------
