@@ -22,6 +22,7 @@ from .polyalg import (
     Monomial,
     Polynomial,
     _add_into,
+    _check_max_degree,
     _divide_by_line,
     _reduction_table,
     as_fraction,
@@ -47,9 +48,6 @@ class CohClass:
 
     def value(self, p: str) -> Polynomial:
         return self.values[p]
-
-    def vertices(self) -> list[str]:
-        return list(self.values)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.values.values())
@@ -142,6 +140,19 @@ def _common_degree(values: Mapping[str, Polynomial]) -> int:
     return degs.pop() if degs else 0
 
 
+def _check_class(pair: GkmPair, values: Mapping[str, Polynomial]) -> None:
+    """Raise InputError unless values maps exactly the pair's vertices into the pair's ring."""
+    for v in pair.vertices:
+        if v not in values:
+            raise InputError(f"class has no value at vertex {v!r}")
+    if len(values) != len(pair.vertices):
+        extra = next(v for v in values if v not in pair.vertices)
+        raise InputError(f"class has a value at {extra!r}, which is not a vertex of the pair")
+    for v, value in values.items():
+        if not isinstance(value, Polynomial) or value.n != pair.n:
+            raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
+
+
 def is_class(
     pair: GkmPair, candidate: CohClass | Mapping[str, Polynomial]
 ) -> tuple[bool, tuple[str, str] | None]:
@@ -153,14 +164,10 @@ def is_class(
     f(p) * den(q) - f(q) * den(p) must be empty.  Values must be
     homogeneous of a single common degree; mixing degrees raises.  A
     candidate on the wrong vertex set or in the wrong ring is unusable
-    input and raises InputError.
+    input and raises InputError (``_check_class``).
     """
     values = candidate.values if isinstance(candidate, CohClass) else candidate
-    if set(values) != set(pair.vertices):
-        raise InputError("candidate must assign a value to every vertex")
-    for v, f in values.items():
-        if not isinstance(f, Polynomial) or f.n != pair.n:
-            raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
+    _check_class(pair, values)
     _common_degree(values)
     for p, q in pair.edges:
         fp, fq = values[p], values[q]
@@ -261,12 +268,12 @@ def is_symplectic(pair: GkmPair, c: CohClass) -> bool:
     """Whether c(p) - c(q) is a positive multiple of the axial value at q.
 
     True exactly when every edge's proportionality factor is positive; a
-    difference that is not even proportional makes the answer False.
+    difference that is not even proportional makes the answer False.  A
+    class on the wrong vertex set or in the wrong ring raises InputError.
     """
     if c.degree != 1:
         raise ValueError("symplectic candidates must have degree 1")
-    if set(c.values) != set(pair.vertices):
-        raise ValueError("class must assign a value to every vertex")
+    _check_class(pair, c.values)
     for p, q in pair.edges:
         diff = c.value(p) - c.value(q)
         alpha = Polynomial.from_covector(pair.axial_at(q, p))
@@ -329,10 +336,16 @@ def gysin(
 
 
 def pullback(back_map: Mapping[str, str], base_class: CohClass, vertices: Iterable[str]) -> CohClass:
-    """Composition with a vertex map: (back_map* f)(v) = f(back_map(v))."""
-    return CohClass(
-        base_class.degree, {v: base_class.value(back_map[v]) for v in vertices}
-    )
+    """Composition with a vertex map: (back_map* f)(v) = f(back_map(v)).
+
+    A vertex whose image is missing or not a vertex of the class raises InputError.
+    """
+    values = {}
+    for v in vertices:
+        if back_map.get(v) not in base_class.values:
+            raise InputError(f"vertex {v!r} has no image among the vertices of the class")
+        values[v] = base_class.value(back_map[v])
+    return CohClass(base_class.degree, values)
 
 
 def blowup_class_check(base: GkmPair, p0: str, max_k: int = 4) -> dict:
@@ -342,8 +355,9 @@ def blowup_class_check(base: GkmPair, p0: str, max_k: int = 4) -> dict:
     degreewise linearly independent up to max_k, that the alternating-sign
     relation in the singular-locus Thom class holds exactly (with the top
     coefficient the Thom class of p0), and tabulates dimensions of both
-    rings for reference.
+    rings for reference.  A negative max_k raises InputError.
     """
+    _check_max_degree(max_k)
     sharp, beta = blow_up(base, p0)
     d = base.valence
     ps = [v for v in sharp.vertices if beta[v] == p0]

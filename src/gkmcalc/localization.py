@@ -11,11 +11,13 @@ are required to agree exactly.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .cohomology import CohClass
+from .cohomology import CohClass, _check_class
 from .gkm_core import GkmPair, OrientedEdge
 from .morse_betti import positively_oriented_function
 from .polyalg import (
@@ -49,20 +51,6 @@ def pushforward_localized_sum(pair: GkmPair, f: CohClass) -> LocalizedSum:
     return LocalizedSum(pair.n, tuple(terms))
 
 
-def _check_class(pair: GkmPair, f: CohClass) -> None:
-    """Raise InputError unless f has a value in the pair's ring at exactly the pair's vertices."""
-    values = f.values
-    for v in pair.vertices:
-        if v not in values:
-            raise InputError(f"class has no value at vertex {v!r}")
-    if len(values) != len(pair.vertices):
-        extra = next(v for v in values if v not in pair.vertices)
-        raise InputError(f"class has a value at {extra!r}, which is not a vertex of the pair")
-    for v, value in values.items():
-        if value.n != pair.n:
-            raise InputError(f"value at {v!r} is not a polynomial in the ambient ring")
-
-
 def _pushforward(lsum: LocalizedSum, expected: int, what: str) -> Polynomial:
     """The polynomial a sum collapses to, which must be zero or of the expected degree."""
     numerator = polynomial_sum(lsum, f"{what} did not simplify to a polynomial")
@@ -77,7 +65,7 @@ def integrate(pair: GkmPair, f: CohClass) -> Polynomial:
     A residual denominator after simplification means the input was not a
     class (or the pair invalid) and raises NonPolynomialResultError.
     """
-    _check_class(pair, f)
+    _check_class(pair, f.values)
     return _pushforward(pushforward_localized_sum(pair, f), f.degree - pair.valence, "pushforward")
 
 
@@ -112,29 +100,16 @@ class LevelCut:
                 raise ValueError(f"phi is not positively oriented on edge ({p!r}, {q!r})")
 
 
-def _crossing_edges(pair: GkmPair, phi: Mapping[str, Fraction], c: Fraction) -> list[OrientedEdge]:
-    """Edges crossing the level c, oriented upper vertex first, in input order."""
-    upward = [(p, q) if phi[p] > phi[q] else (q, p) for p, q in pair.edges]
-    return [(p, q) for p, q in upward if phi[p] > c > phi[q]]
+def _upward_edges(pair: GkmPair, phi: Mapping[str, Fraction]) -> list[OrientedEdge]:
+    """Every edge oriented upper vertex first, in input order."""
+    return [(p, q) if phi[p] > phi[q] else (q, p) for p, q in pair.edges]
 
 
 def cross_section(pair: GkmPair, cut: LevelCut) -> list[OrientedEdge]:
     """The edges crossing a validated cut, oriented upper vertex first, in input order."""
     cut.validate(pair)
-    return _crossing_edges(pair, cut.phi, cut.c)
-
-
-def _expander(f: CohClass, xi: Vector) -> Callable[[str], list[dict[int, int]]]:
-    """Each vertex value's expansion along xi (``_expansion``), computed on first use."""
-    taylors: dict[str, list[dict[int, int]]] = {}
-
-    def expansion(p: str) -> list[dict[int, int]]:
-        got = taylors.get(p)
-        if got is None:
-            got = taylors[p] = _expansion(f.value(p), xi)
-        return got
-
-    return expansion
+    phi, c = cut.phi, cut.c
+    return [(p, q) for p, q in _upward_edges(pair, phi) if phi[p] > c > phi[q]]
 
 
 def _kirwan_image(
@@ -149,20 +124,15 @@ def _kirwan_image(
     return image_p
 
 
-def kirwan_map(
-    pair: GkmPair, cut: LevelCut, f: CohClass
-) -> dict[OrientedEdge, Polynomial]:
+def kirwan_map(pair: GkmPair, cut: LevelCut, f: CohClass) -> dict[OrientedEdge, Polynomial]:
     """Common image of the two end values of f on each cross-section edge.
 
     Values are projected into the subring annihilating xi along the edge
     form; the p- and q-side images must agree exactly.
     """
-    _check_class(pair, f)
-    expansion = _expander(f, cut.xi)
-    return {
-        (p, q): _kirwan_image(pair, cut.xi, f, expansion, p, q)
-        for p, q in cross_section(pair, cut)
-    }
+    _check_class(pair, f.values)
+    expansion = cache(lambda p: _expansion(f.value(p), cut.xi))
+    return {e: _kirwan_image(pair, cut.xi, f, expansion, *e) for e in cross_section(pair, cut)}
 
 
 def _edge_term(
@@ -201,30 +171,37 @@ def _cut_pushforwards(
     """Cut pushforwards of f at each level, each checked against its residues.
 
     The caller has validated (xi, phi) and put every level off the vertex
-    levels.  At each level the cross-section sum of (1/m_e) f(e) over the
-    projected star forms is simplified exactly, must be a polynomial of
-    degree k - d + 1, and must equal the sum of the residues of f(p) over
-    the stars of the vertices below the level; a disagreement raises
-    IntegrityError.  A term depends only on its oriented edge and a
-    residue only on its vertex, so each is computed once for all levels,
-    and both ends' Kirwan images and the series residue of a vertex share
-    one expansion of its value along xi.  Returns the results and the
-    residues computed, by vertex.
+    levels.  The vertices are sorted by phi once, so the vertices below a
+    level are a prefix of that order, and an edge crosses the level when
+    its lower end is in the prefix and its upper end is not.  At each level
+    the cross-section sum of (1/m_e) f(e) over the projected star forms is
+    simplified exactly, must be a polynomial of degree k - d + 1, and must
+    equal the sum of the residues of f(p) over the stars of the vertices
+    below the level; a disagreement raises IntegrityError.  A term depends
+    only on its oriented edge and a residue only on its vertex, so each is
+    computed once for all levels, and both ends' Kirwan images and the
+    series residue of a vertex share one expansion of its value along xi.
+    Returns the results and the residues computed, by vertex.
     """
-    _check_class(pair, f)
-    expansion = _expander(f, xi)
+    _check_class(pair, f.values)
+    expansion = cache(lambda p: _expansion(f.value(p), xi))
     expected = f.degree - pair.valence + 1
+    order = sorted(pair.vertices, key=phi.__getitem__)
+    heights = [phi[p] for p in order]
+    rank = {p: i for i, p in enumerate(order)}
+    upward = _upward_edges(pair, phi)
     terms: dict[OrientedEdge, LocalizedTerm] = {}
     residues: dict[str, Polynomial] = {}
     results = []
     for c in levels:
-        crossing = _crossing_edges(pair, phi, c)
+        nbelow = bisect(heights, c)  # the vertices below c are order[:nbelow]
+        crossing = [(p, q) for p, q in upward if rank[q] < nbelow <= rank[p]]
         for e in crossing:
             if e not in terms:
                 terms[e] = _edge_term(pair, xi, f, expansion, *e)
         numerator = _pushforward(LocalizedSum(pair.n, tuple(terms[e] for e in crossing)),
                                  expected, "cross-section pushforward")
-        below = [p for p in pair.vertices if phi[p] < c]
+        below = [p for p in pair.vertices if rank[p] < nbelow]
         for p in below:
             if p not in residues:
                 value = f.value(p)
@@ -288,25 +265,18 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
     """
     xi = xi if isinstance(xi, Vector) else Vector(xi)
     phi = positively_oriented_function(pair, xi)
-    ordered = sorted(pair.vertices, key=lambda p: phi[p])
-    levels = [phi[ordered[0]] - 1]
-    for i in range(len(ordered) - 1):
-        levels.append((phi[ordered[i]] + phi[ordered[i + 1]]) / 2)
-    levels.append(phi[ordered[-1]] + 1)
+    ordered = sorted(pair.vertices, key=phi.__getitem__)
+    heights = [phi[p] for p in ordered]
+    levels = [heights[0] - 1, *((a + b) / 2 for a, b in zip(heights, heights[1:])), heights[-1] + 1]
     results, residues = _cut_pushforwards(pair, xi, phi, f, levels)
-
-    steps_ok = True
-    for i, p in enumerate(ordered):
-        diff = results[i + 1].polynomial - results[i].polynomial
-        if diff != residues[p]:
-            steps_ok = False
-    top_zero = results[-1].polynomial.is_zero()
-    if not steps_ok or not top_zero:
+    steps = (results[i + 1].polynomial - results[i].polynomial == residues[p]
+             for i, p in enumerate(ordered))
+    if not all(steps) or not results[-1].polynomial.is_zero():
         raise IntegrityError("level sweep failed telescoping checks")
     return {
         "levels": levels,
         "pushforwards": [r.polynomial for r in results],
         "perVertexResidues": {p: residues[p] for p in pair.vertices},
-        "stepsOk": steps_ok,
-        "topIsZero": top_zero,
+        "stepsOk": True,
+        "topIsZero": True,
     }

@@ -1082,15 +1082,16 @@ def _residue_forms(
 def residue(
     f: Polynomial,
     alphas: Sequence[LinearForm | Covector | Iterable],
-    xi: Vector,
+    xi: Vector | Sequence,
     method: str = "series",
 ) -> Polynomial:
     """Residue of f / prod(alpha_i) along xi, as an ambient polynomial.
 
     The result lies in the subring of polynomials in covectors annihilating
     xi; it does not depend on a choice of complement to xi.  Every alpha_i
-    must be nonzero on xi.
+    must be nonzero on xi, which may be given as a plain sequence.
     """
+    xi = xi if isinstance(xi, Vector) else Vector(xi)
     forms = _residue_forms(f, alphas, xi)
     if method == "series":
         return _residue_series(f, forms, xi)

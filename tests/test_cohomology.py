@@ -25,6 +25,7 @@ from gkmcalc.cohomology import (
 from gkmcalc import linalg
 from gkmcalc.polyalg import (
     Covector,
+    InputError,
     LinearForm,
     Polynomial,
     grlex_key,
@@ -284,6 +285,34 @@ def test_pullback_along_the_identity(cp2):
     c1 = chern_class(cp2, 1)
     same = pullback({v: v for v in cp2.vertices}, c1, cp2.vertices)
     assert same == c1
+
+
+@pytest.mark.parametrize("back_map", [{"1": "1"}, {"1": "1", "2": "4"}])
+def test_pullback_refuses_a_vertex_without_an_image_in_the_class(cp2, back_map):
+    with pytest.raises(InputError, match="vertex '2' has no image among the vertices of the class"):
+        pullback(back_map, chern_class(cp2, 1), ["1", "2"])
+
+
+def test_blowup_audit_refuses_a_negative_degree_bound(cp2):
+    with pytest.raises(InputError, match="--max-degree must be nonnegative, got -1"):
+        blowup_class_check(cp2, "1", -1)
+
+
+def _linear_class_without(pair, drop, n):
+    """Values -i * x_0 at the i-th vertex except drop, as polynomials in n variables."""
+    values = {v: Polynomial(n, {(1,) + (0,) * (n - 1): -i}) for i, v in enumerate(pair.vertices)}
+    return CohClass(1, {v: f for v, f in values.items() if v != drop})
+
+
+@pytest.mark.parametrize("drop, n, message", [
+    ("3", 2, "class has no value at vertex '3'"),
+    (None, 3, "value at '1' is not a polynomial in the ambient ring"),
+])
+def test_class_checks_refuse_a_bad_vertex_set_or_ring(cp2, drop, n, message):
+    c = _linear_class_without(cp2, drop, n)
+    for check in (is_class, is_symplectic):
+        with pytest.raises(InputError, match=message):
+            check(cp2, c)
 
 
 def test_blowup_ring_audit(cp2):

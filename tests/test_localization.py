@@ -1,6 +1,7 @@
 """Pushforward, cuts, the Kirwan map, and level sweeps."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -354,6 +355,48 @@ def test_a_class_on_another_vertex_set_is_an_input_error(cp2, drop, extra):
     for call in calls:
         with pytest.raises(InputError, match=message):
             call()
+
+
+# --- level cuts as prefixes of one vertex order --------------------------------
+
+
+def _sweep_levels(phi):
+    """One level below all vertices, one between each adjacent pair, one above all."""
+    heights = sorted(phi.values())
+    return ([heights[0] - 1] + [(a + b) / 2 for a, b in zip(heights, heights[1:])]
+            + [heights[-1] + 1])
+
+
+@pytest.mark.parametrize("name", ["gamma5", "k5n3", "blowup"])
+def test_cut_pushforwards_do_not_depend_on_the_order_of_the_levels(name, request):
+    pair = request.getfixturevalue(name)
+    pair = pair[0] if name == "blowup" else pair
+    xi = find_acyclic_xi(pair)
+    phi = positively_oriented_function(pair, xi)
+    f = chern_class(pair, 1) ** (pair.valence + 1)
+    ascending = _sweep_levels(phi)
+    want = dict(zip(ascending, localization._cut_pushforwards(pair, xi, phi, f, ascending)[0]))
+    assert any(not r.polynomial.is_zero() for r in want.values()), name
+    shuffled = list(ascending)
+    random.Random(22).shuffle(shuffled)
+    for levels in (shuffled, ascending[::-1]):
+        results, _ = localization._cut_pushforwards(pair, xi, phi, f, levels)
+        for c, result in zip(levels, results):
+            assert result == want[c], (name, c)
+            below = [p for p in pair.vertices if phi[p] < c]
+            assert list(result.per_vertex_residues) == below, (name, c)
+
+
+def test_cross_section_is_the_edges_leaving_the_prefix(family):
+    for name, pair in family:
+        xi = find_acyclic_xi(pair)
+        phi = positively_oriented_function(pair, xi)
+        order = sorted(pair.vertices, key=phi.__getitem__)
+        for i, c in enumerate(_sweep_levels(phi)):
+            prefix = set(order[:i])
+            leaving = [(q, p) if p in prefix else (p, q)
+                       for p, q in pair.edges if (p in prefix) != (q in prefix)]
+            assert cross_section(pair, LevelCut(xi, phi, c)) == leaving, (name, c)
 
 
 # --- one Taylor expansion per vertex value --------------------------------------

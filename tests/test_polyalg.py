@@ -292,6 +292,19 @@ def test_residue_series_and_formula_agree():
         assert a == b
 
 
+def test_residue_takes_a_plain_sequence_as_xi():
+    rng = random.Random(17)
+    forms = _random_independent_forms(rng, 3, 3)
+    xi = _nonvanishing_xi(rng, forms, 3)
+    f = _random_poly(rng, 3, 5)
+    for method in ("series", "formula"):
+        want = residue(f, forms, xi, method=method)
+        assert residue(f, forms, list(xi), method=method) == want
+        assert residue(f, forms, tuple(xi), method=method) == want
+    g, alphas = Polynomial(2, {(3, 0): 1, (1, 2): -2}), [(1, 0), (1, 1)]
+    assert residue(g, alphas, [1, 2]) == residue(g, alphas, Vector((1, 2)))
+
+
 def test_residue_is_linear_in_the_numerator():
     rng = random.Random(5)
     forms = _random_independent_forms(rng, 2, 3)
