@@ -5,11 +5,15 @@ sparsely, as ``{column: int}``, under its pivot (the first nonzero column).
 Rows are reduced by integer cross-multiplication, never by division, so no
 Fraction arithmetic enters the inner loop; every stored row is kept
 primitive (coprime entries, positive pivot) so that repeated
-cross-multiplication cannot grow its integers.  One back-substitution pass
+cross-multiplication cannot grow its integers.  Rows reach the engine in
+descending order of leading column (``RankTracker.extend``): each new row
+then meets only basis rows that start at or right of its own start, so the
+basis stays triangular and barely fills in.  One back-substitution pass
 gives the reduced echelon form, which is unique, so ``rref``,
-``kernel_basis`` and ``invert`` are canonical.  An input row is either a
-dense sequence of Fractions or ints, or a sparse mapping ``{column: value}``
-that leaves out zeros; outputs are dense lists of Fractions.
+``kernel_basis`` and ``invert`` are canonical whatever the feed order.  An
+input row is either a dense sequence of Fractions or ints, or a sparse
+mapping ``{column: value}`` that leaves out zeros; outputs are dense lists
+of Fractions.
 """
 
 from __future__ import annotations
@@ -24,11 +28,22 @@ Rows = Sequence[Row]
 
 def _primitive(row: Mapping[int, Fraction | int], lead: int) -> dict[int, int]:
     """Scale a nonzero sparse rational row to coprime integers, positive at ``lead``."""
-    if not all(type(x) is int for x in row.values()):
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry: clear denominators first
         den = lcm(*(x.denominator for x in row.values()))
         row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-    g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+        g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
     return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _lead(row: Row) -> int:
+    """First nonzero column of a row (a sparse row leaves out zeros), or -1 if none."""
+    if isinstance(row, Mapping):
+        return min(row, default=-1)
+    return next((c for c, x in enumerate(row) if x), -1)
 
 
 def _eliminate(row: dict[int, int], base: Mapping[int, int], col: int) -> None:
@@ -65,19 +80,25 @@ class RankTracker:
             raise ValueError("row length mismatch")
         else:
             r = {c: x for c, x in enumerate(row) if x}
-        if r:
-            r = _primitive(r, min(r))
+        if not r:
+            return False
+        pivot = min(r)
+        r = _primitive(r, pivot)
         # a row no elimination step touched is still primitive, positive at its pivot
         eliminated = False
-        while r:
-            pivot = min(r)
-            base = self._rows.get(pivot)
-            if base is None:
-                self._rows[pivot] = _primitive(r, pivot) if eliminated else r
-                return True
+        while (base := self._rows.get(pivot)) is not None:
             _eliminate(r, base, pivot)
+            if not r:
+                return False
+            pivot = min(r)
             eliminated = True
-        return False
+        self._rows[pivot] = _primitive(r, pivot) if eliminated else r
+        return True
+
+    def extend(self, rows: Rows) -> None:
+        """Add a batch of rows, those with the rightmost leading column first."""
+        for row in sorted(rows, key=_lead, reverse=True):
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -98,8 +119,7 @@ class RankTracker:
 
 def _tracker(rows: Rows, ncols: int) -> RankTracker:
     tracker = RankTracker(ncols)
-    for row in rows:
-        tracker.add(row)
+    tracker.extend(rows)
     return tracker
 
 
@@ -124,17 +144,26 @@ def kernel_basis(rows: Rows, ncols: int) -> list[list[Fraction]]:
     its free column is positive, so the output is canonical.
     """
     reduced = _tracker(rows, ncols).reduced()
-    # free column -> the kernel vector that is 1 there, as {column: value}
-    free = {c: {c: 1} for c in range(ncols) if c not in reduced}
+    # free column -> (pivot, entry, pivot entry) of each reduced row meeting it
+    free: dict[int, list[tuple[int, int, int]]] = {
+        c: [] for c in range(ncols) if c not in reduced
+    }
     for pivot, r in reduced.items():
+        lead = r[pivot]
         for c, x in r.items():
             if c != pivot:
-                free[c][pivot] = Fraction(-x, r[pivot])
+                free[c].append((pivot, x, lead))
     basis = []
-    for col, v in free.items():
+    for col, entries in free.items():
+        # the vector that is 1 at col, -x / lead at each pivot, times the lcm
+        scale = lcm(*(lead for _, _, lead in entries))
+        v = {col: scale}
+        for pivot, x, lead in entries:
+            v[pivot] = -x * (scale // lead)
+        g = gcd(*v.values())
         vec = [Fraction(0)] * ncols
-        for c, x in _primitive(v, col).items():
-            vec[c] = Fraction(x)
+        for c, x in v.items():
+            vec[c] = Fraction(x // g)
         basis.append(vec)
     return basis
 

@@ -537,8 +537,7 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
         prev_dim = 0
         for v in order:
             off = vindex[v] * M
-            for mi in range(M):
-                tracker.add(columns[off + mi])
+            tracker.extend(columns[off:off + M])
             cols += M
             dim_here = cols - tracker.rank
             gain = dim_here - prev_dim

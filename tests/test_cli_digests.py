@@ -274,10 +274,15 @@ RING_CASES = {
     "prod": (4, "2,3"),
     "k5n3": (4, "1,-2,1"),
     "k6n2": (5, "1,3"),
+    "k6n4": (5, "1,-2,1,-1"),
 }
 
 
 def _ring_pair(request, name):
+    if name == "k6n4":
+        # K6 over (t, ..., t^4): at ladder scale, where the order rows reach the
+        # elimination engine decides how much its echelon basis fills in
+        return complete_graph([(t, t * t, t ** 3, t ** 4) for t in range(1, 7)])
     value = request.getfixturevalue(name)
     return value[0] if name == "blowup" else value
 
@@ -350,6 +355,13 @@ RING_DIGESTS = {
         "cohdim-basis": "7e747dac3abe8c887d82c3cf8b221fad6ca9c54260bd7f85004fac49174810b9",
         "morse": "7ea7c818a4c4c31e8291218d81e91d74b9bcd711295ccfc2ade71cd6943a37e4",
         "morse-l": "c64429c9e22a9005cddcaa38c0aed68e5c9d4d01426d925628c7349589c5aba0",
+    },
+    # recorded with rows fed to the elimination engine in input order
+    "k6n4": {
+        "cohdim": "8225b2b1736d6870ca34cfb147fae6e1d4844164a7545ad52690f58567ddecb6",
+        "cohdim-basis": "21a717de6cfadb24c861b66a414fac799371df35424c522e3084a6bc4fbd2cd0",
+        "morse": "694b1cc4d2ecda40e4175f5bffee6432a36210a88cd629aae6226e7c03031dbe",
+        "morse-l": "fd36b2e528756f289e4ec612a9e9c9940145e4da9a0bf3165b59a750a2658a8a",
     },
     "prod": {
         "cohdim": "55600eb6004d17f742375c7fc06b80519734adeba31d656d01d5a0de0e020a0e",

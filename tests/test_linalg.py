@@ -1,4 +1,4 @@
-"""The elimination engine against sympy on small rational matrices."""
+"""The elimination engine against sympy on small rational matrices, and its row feed order."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, seed, settings, strategies as st
 
 from gkmcalc import linalg
+from gkmcalc.cohomology import compatibility_rows
 
 entries = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
 
@@ -112,3 +113,43 @@ def test_sparse_row_columns_must_lie_in_range():
     assert tracker.add({2: Fraction(1, 2)}) and not tracker.add({})
     with pytest.raises(ValueError):
         tracker.add([1, 2])
+
+
+def lead(row):
+    columns = [c for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+    return min(columns, default=-1)
+
+
+@seed(20261019)
+@property_settings
+@given(matrices(), st.sampled_from(["dense", "sparse", "mixed"]), st.data())
+def test_outputs_do_not_depend_on_row_order(matrix, form, data):
+    rows, ncols = matrix
+    if form != "dense":
+        rows = [sparse(row) if form == "sparse" or i % 2 else row for i, row in enumerate(rows)]
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = [rows[i] for i in order]
+    assert linalg.rank(shuffled, ncols) == linalg.rank(rows, ncols)
+    assert linalg.rref(shuffled, ncols) == linalg.rref(rows, ncols)
+    assert linalg.kernel_basis(shuffled, ncols) == linalg.kernel_basis(rows, ncols)
+    one_by_one, batch = linalg.RankTracker(ncols), linalg.RankTracker(ncols)
+    for row in shuffled:
+        one_by_one.add(row)
+    batch.extend(rows)
+    assert one_by_one.reduced() == batch.reduced()
+
+
+def test_rows_reach_the_engine_by_descending_leading_column(monkeypatch, k5n3):
+    fed = []
+    add = linalg.RankTracker.add
+
+    def spy(self, row):
+        fed.append(lead(row))
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.RankTracker, "add", spy)
+    rows, mons = compatibility_rows(k5n3, 3)
+    ncols = len(k5n3.vertices) * len(mons)
+    assert linalg.rank(rows, ncols) == ncols - 20
+    assert len(fed) == len(rows) and len(set(fed)) > 1
+    assert fed == sorted(fed, reverse=True)
