@@ -1,13 +1,14 @@
 """Exact combinatorics of graphs with axial covectors.
 
-Everything is computed over the rationals with fractions.Fraction; no
-floats enter any computation.  The modules split as: linalg (exact
-elimination: ranks, echelon forms, kernels, inverses), polyalg (sparse
-polynomials, linear forms, residues), gkm_core (the graph data model and
-axiom validation), constructions (complete graphs, products, blow-ups,
-cycles), cohomology (classes and bases), localization (pushforwards and
-level cuts), morse_betti (orientations, Betti numbers, dimension
-bounds), cli (the gkmcalc command).
+Everything is computed exactly over the rationals: internally as integer
+numerators over one positive denominator, as fractions.Fraction where a
+value is handed out; no floats enter any computation.  The modules split
+as: linalg (exact elimination: ranks, echelon forms, kernels, inverses),
+polyalg (sparse polynomials, linear forms, residues), gkm_core (the graph
+data model and axiom validation), constructions (complete graphs,
+products, blow-ups, cycles), cohomology (classes and bases), localization
+(pushforwards and level cuts), morse_betti (orientations, Betti numbers,
+dimension bounds), cli (the gkmcalc command).
 """
 
 from .cohomology import CohClass, chern_class, coh_basis, is_class, is_symplectic

@@ -10,6 +10,7 @@ of p0's neighbors.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 from . import linalg
@@ -17,8 +18,22 @@ from .gkm_core import GkmPair, ValidationReport, validate_axial
 from .polyalg import Covector, InputError, LinearForm, parallel_pairs
 
 
-def _coerce_covectors(alphas: Sequence) -> list[Covector]:
-    return [a if isinstance(a, Covector) else Covector(a) for a in alphas]
+def _conflict(points: Sequence[Covector]) -> tuple[int, ...] | None:
+    """The first bar to a complete graph on the points, by index, or None.
+
+    That is the first pair (i, j), i < j, of coinciding points; failing
+    that, the first (i, a, b) with point_i - point_a parallel to
+    point_i - point_b, a < b.
+    """
+    N = len(points)
+    for i, j in itertools.combinations(range(N), 2):
+        if points[i] == points[j]:
+            return i, j
+    for i in range(N):
+        others = [j for j in range(N) if j != i]
+        for a, b in parallel_pairs([LinearForm(points[i] - points[j]) for j in others]):
+            return i, others[a], others[b]
+    return None
 
 
 def _complete(names: Sequence[str], points: Sequence[Covector]):
@@ -50,26 +65,21 @@ def complete_graph(alphas: Sequence[Covector | Iterable]) -> GkmPair:
     are pairwise linearly independent; in particular the alphas are
     distinct.  The standard connection (i -> j): (i,k) -> (j,k) is attached.
     """
-    cov = _coerce_covectors(alphas)
+    cov = [Covector(a) for a in alphas]
     if not cov:
         raise InputError("need at least one point")
     n = cov[0].n
     if any(c.n != n for c in cov):
         raise InputError("all points must share one ambient dimension")
-    N = len(cov)
-    for i in range(N):
-        for j in range(N):
-            if j != i and cov[i] == cov[j]:
-                raise InputError(f"points {i + 1} and {j + 1} coincide")
-    for i in range(N):
-        others = [j for j in range(N) if j != i]
-        for a, b in parallel_pairs([LinearForm(cov[i] - cov[j]) for j in others]):
+    match _conflict(cov):
+        case (i, j):
+            raise InputError(f"points {i + 1} and {j + 1} coincide")
+        case (i, a, b):
             raise ValueError(
-                f"differences at vertex {i + 1} toward {others[a] + 1} "
-                f"and {others[b] + 1} are parallel"
+                f"differences at vertex {i + 1} toward {a + 1} and {b + 1} are parallel"
             )
 
-    names = [str(i + 1) for i in range(N)]
+    names = [str(i + 1) for i in range(len(cov))]
     edges, axial, conn = _complete(names, cov)
     return GkmPair(n, names, edges, axial, conn)
 
@@ -137,23 +147,21 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
     if d < 1:
         raise ValueError("cannot blow up an isolated vertex")
     alphas = [pair.axial[(p0, q)] for q in qs]
-    for i in range(d):
-        for j in range(d):
-            if j != i and alphas[i] == alphas[j]:
-                raise ValueError(f"axial values toward {qs[i]!r} and {qs[j]!r} coincide")
-    for i in range(d):
-        others = [j for j in range(d) if j != i]
-        for a, b in parallel_pairs([LinearForm(alphas[j] - alphas[i]) for j in others]):
+    # p0's place goes to the complete graph on the negated star values
+    points = [-a for a in alphas]
+    match _conflict(points):
+        case (i, j):
+            raise ValueError(f"axial values toward {qs[i]!r} and {qs[j]!r} coincide")
+        case (i, a, b):
             raise ValueError(
-                f"blow-up at {p0!r}: differences toward {qs[others[a]]!r} "
-                f"and {qs[others[b]]!r} relative to {qs[i]!r} are parallel"
+                f"blow-up at {p0!r}: differences toward {qs[a]!r} "
+                f"and {qs[b]!r} relative to {qs[i]!r} are parallel"
             )
 
     ps = [f"{p0}#{i + 1}" for i in range(d)]
     joined = dict(zip(qs, ps))
     vertices = [v for v in pair.vertices if v != p0] + ps
-    # p0's place goes to the complete graph on the negated star values
-    star_edges, star_axial, star_conn = _complete(ps, [-a for a in alphas])
+    star_edges, star_axial, star_conn = _complete(ps, points)
     edges = [e for e in pair.edges if p0 not in e] + list(zip(ps, qs)) + star_edges
     axial = {e: a for e, a in pair.axial.items() if p0 not in e}
     for i in range(d):
@@ -194,14 +202,12 @@ def blow_up(pair: GkmPair, p0: str) -> tuple[GkmPair, dict[str, str]]:
 def cycle_2valent(N: int, a1: Covector | Iterable, a2: Covector | Iterable) -> GkmPair:
     """N-cycle (N = 4k) with the alternating axial pattern a1, a2, -a1, -a2.
 
-    The wedge condition on consecutive axial values (equality of all 2x2
-    coordinate determinants around the cycle, wraparound included) is
-    checked after construction.
+    Every two consecutive axial values, wraparound included, have the
+    wedge a2 ^ a1, so the wedge condition holds by construction.
     """
     if N % 4 != 0 or N <= 0:
         raise ValueError("cycle length must be a positive multiple of 4")
-    c1 = a1 if isinstance(a1, Covector) else Covector(a1)
-    c2 = a2 if isinstance(a2, Covector) else Covector(a2)
+    c1, c2 = Covector(a1), Covector(a2)
     if c1.n != c2.n:
         raise InputError("axial covectors must share one ambient dimension")
     if c1.n < 2:
@@ -211,24 +217,12 @@ def cycle_2valent(N: int, a1: Covector | Iterable, a2: Covector | Iterable) -> G
 
     pattern = [c1, c2, -c1, -c2]
     names = [str(i + 1) for i in range(N)]
-    seq = [pattern[i % 4] for i in range(N)]
     edges = []
     axial = {}
     for i in range(N):
         p, q = names[i], names[(i + 1) % N]
         edges.append((p, q))
-        axial[(p, q)] = seq[i]
-
-    def wedge(u: Covector, v: Covector) -> tuple:
-        a, b = u.coords, v.coords
-        return tuple(
-            a[r] * b[s] - a[s] * b[r] for r in range(len(a)) for s in range(r + 1, len(a))
-        )
-
-    first = wedge(seq[1], seq[0])
-    for i in range(N):
-        if wedge(seq[(i + 1) % N], seq[i]) != first:
-            raise ValueError(f"wedge condition fails between steps {i} and {i + 1}")
+        axial[(p, q)] = pattern[i % 4]
 
     conn = {}
     for i in range(N):

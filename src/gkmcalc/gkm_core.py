@@ -144,7 +144,7 @@ class GkmPair:
             p, q = key
             if frozenset((p, q)) not in self._edge_keys:
                 raise GraphFormatError(f"axial value given for a non-edge ({p!r}, {q!r})")
-            cov = val if isinstance(val, Covector) else Covector(val)
+            cov = Covector(val)
             if cov.n != self.n:
                 raise GraphFormatError(f"axial covector on ({p!r}, {q!r}) has wrong dimension")
             if cov.is_zero():
@@ -527,7 +527,7 @@ def subgraph_gamma_h(pair: GkmPair, h_basis: Sequence[Vector | Sequence]) -> lis
     single-vertex components.  Each component must be regular, which holds
     for valid pairs.
     """
-    basis = [v if isinstance(v, Vector) else Vector(v) for v in h_basis]
+    basis = [Vector(v) for v in h_basis]
     for v in basis:
         if v.n != pair.n:
             raise ValueError("subspace basis vector has wrong dimension")

@@ -78,7 +78,7 @@ class LevelCut:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", self.xi if isinstance(self.xi, Vector) else Vector(self.xi))
+        object.__setattr__(self, "xi", Vector(self.xi))
         object.__setattr__(self, "phi", {p: as_fraction(v) for p, v in self.phi.items()})
         object.__setattr__(self, "c", as_fraction(self.c))
 
@@ -263,7 +263,7 @@ def full_sweep(pair: GkmPair, xi: Vector, f: CohClass) -> dict:
     injective with (phi(p) - phi(q)) alpha_{q->p}(xi) > 0 on every edge (so
     xi is on no wall), and each level avoids the vertex levels.
     """
-    xi = xi if isinstance(xi, Vector) else Vector(xi)
+    xi = Vector(xi)
     phi = positively_oriented_function(pair, xi)
     ordered = sorted(pair.vertices, key=phi.__getitem__)
     heights = [phi[p] for p in ordered]

@@ -62,7 +62,7 @@ def orient(pair: GkmPair, xi) -> Orientation:
     with the offending incidence named.  Both denominators are positive, so
     the sign of a pairing is the sign of its integer numerator.
     """
-    vec = xi if isinstance(xi, Vector) else Vector(xi)
+    vec = Vector(xi)
     if vec.n != pair.n:
         raise ValueError(f"xi has {vec.n} coordinates, expected {pair.n}")
     xs = vec._num
@@ -229,18 +229,18 @@ def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
     witness is the unmerged one.  A witness for the reduced system is
     extended by picking the last coordinate strictly between the bounds.
 
-    At n <= 2 the elimination is decided in closed form, with the witness
-    the recursion would give.  At n = 1 the point is +1 unless a row is
-    negative, and no point exists when rows of both signs do.  At n = 2 a
-    combination of a lower row (r1 > 0) and an upper row (r1 < 0) has the
-    sign of the difference of their ratios r0 / r1, and a ratio the two
-    sides share combines into the zero row.  So the reduced 1-D system
-    holds its point x0 exactly when the rows with r1 = 0 have the sign of
-    x0 and the bounds max(lo) and min(hi) on the last coordinate, -x0
-    times the facing ratio extremes, are strictly apart.  The recursion's
-    point is +1 when that holds for +1 and -1 otherwise.  Since the closed
-    form reads only ratios and signs, the combinations made at n = 3 go
-    to it unmerged.
+    At n = 1 every combination is the empty row, so rows of both signs
+    give None; otherwise the point is +1 past the lower rows' bound 0, or
+    -1 below the upper rows'.  At n = 2 the elimination is decided in
+    closed form, with the witness the recursion would give: a combination
+    of a lower row (r1 > 0) and an upper row (r1 < 0) has the sign of the
+    difference of their ratios r0 / r1, and a ratio the two sides share
+    combines into the zero row.  So the reduced 1-D system holds its point
+    x0 exactly when the rows with r1 = 0 have the sign of x0 and the bounds
+    max(lo) and min(hi) on the last coordinate, -x0 times the facing ratio
+    extremes, are strictly apart.  The recursion's point is +1 when that
+    holds for +1 and -1 otherwise.  Since the closed form reads only ratios
+    and signs, the combinations made at n = 3 go to it unmerged.
     """
     if n == 2:
         flat = [r[0] for r in rows if r[1] == 0]
@@ -261,11 +261,6 @@ def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
         return None
     if n == 0:
         return []
-    if n == 1:
-        negative = any(r[0] < 0 for r in rows)
-        if negative and any(r[0] > 0 for r in rows):
-            return None
-        return [Fraction(-1 if negative else 1)]
     m = n - 1
     lower = [r for r in rows if r[m] > 0]
     upper = [r for r in rows if r[m] < 0]
@@ -438,11 +433,7 @@ def l_independent(forms: Sequence, l: int) -> bool:
 
 
 def _as_covector(form) -> Covector:
-    if isinstance(form, LinearForm):
-        return form.covector
-    if isinstance(form, Covector):
-        return form
-    return Covector(form)
+    return form.covector if isinstance(form, LinearForm) else Covector(form)
 
 
 def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:

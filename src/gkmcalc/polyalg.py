@@ -168,18 +168,21 @@ class _Coords:
     Stored like ``Polynomial``: ``_num`` is a tuple of integer numerators
     over one positive denominator ``_den``, in lowest terms (the zero tuple
     has denominator 1), so structural equality is mathematical equality.
-    ``coords``, indexing and iteration hand out ``Fraction``s.
+    ``coords``, indexing and iteration hand out ``Fraction``s.  Built from
+    an instance of its own type, the constructor returns that instance.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coords: Iterable[int | str | Fraction]):
+    def __new__(cls, coords: Iterable[int | str | Fraction]):
+        if type(coords) is cls:
+            return coords
         pairs = [_rational(c) for c in coords]
         den = math.lcm(*(b for _, b in pairs))
-        num = tuple(a * (den // b) for a, b in pairs)
-        g = math.gcd(den, *num)
-        self._num = num if g == 1 else tuple(a // g for a in num)
-        self._den = den // g
+        return cls._raw(tuple(a * (den // b) for a, b in pairs), den)
+
+    def __reduce__(self):
+        return self._raw, (self._num, self._den)
 
     @classmethod
     def _raw(cls, num: tuple[int, ...], den: int = 1):
@@ -637,21 +640,28 @@ class LinearForm:
 
     Two forms are parallel exactly when their canonical integer tuples agree,
     and ``covector == scale * canonical``; the scale is kept as the integer
-    ``_g`` over the covector's denominator.
+    ``_g`` over the covector's denominator.  Built from a form, the
+    constructor returns that form.
     """
 
     __slots__ = ("covector", "canonical", "_g")
 
-    def __init__(self, covector: Covector | Iterable):
-        if not isinstance(covector, Covector):
-            covector = Covector(covector)
+    def __new__(cls, covector: LinearForm | Covector | Iterable):
+        if type(covector) is cls:
+            return covector
+        covector = Covector(covector)
         if covector.is_zero():
             raise ValueError("linear form must be nonzero")
+        self = object.__new__(cls)
         self.covector = covector
         num = covector._num
         g = math.gcd(*num) if next(a for a in num if a) > 0 else -math.gcd(*num)
         self.canonical = tuple(a // g for a in num)
         self._g = g
+        return self
+
+    def __reduce__(self):
+        return LinearForm, (self.covector,)
 
     @property
     def scale(self) -> Fraction:
@@ -981,13 +991,6 @@ def polynomial_sum(lsum: LocalizedSum, what: str) -> Polynomial:
 # --- residues ----------------------------------------------------------
 
 
-def _coerce_forms(alphas: Sequence[LinearForm | Covector | Iterable]) -> list[LinearForm]:
-    out = []
-    for a in alphas:
-        out.append(a if isinstance(a, LinearForm) else LinearForm(a))
-    return out
-
-
 def _residue_series(f: Polynomial, forms: Sequence[LinearForm], xi: Vector) -> Polynomial:
     """Coefficient of 1/x in the geometric-series expansion of f / prod(alpha).
 
@@ -1070,7 +1073,7 @@ def _residue_forms(
     f: Polynomial, alphas: Sequence[LinearForm | Covector | Iterable], xi: Vector
 ) -> list[LinearForm]:
     """The alphas as forms, once f, xi and every form share a ring and no form vanishes on xi."""
-    forms = _coerce_forms(alphas)
+    forms = [LinearForm(a) for a in alphas]
     if f.n != xi.n or any(form.n != xi.n for form in forms):
         raise InputError("dimension mismatch")
     for idx, form in enumerate(forms):
@@ -1091,7 +1094,7 @@ def residue(
     xi; it does not depend on a choice of complement to xi.  Every alpha_i
     must be nonzero on xi, which may be given as a plain sequence.
     """
-    xi = xi if isinstance(xi, Vector) else Vector(xi)
+    xi = Vector(xi)
     forms = _residue_forms(f, alphas, xi)
     if method == "series":
         return _residue_series(f, forms, xi)

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from gkmcalc import (
+    GkmPair,
     blow_up,
     complete_graph,
     cycle_2valent,
@@ -12,7 +14,7 @@ from gkmcalc import (
     validate_connection,
 )
 from gkmcalc.gkm_core import relabel
-from gkmcalc.polyalg import Covector
+from gkmcalc.polyalg import Covector, InputError, LinearForm, parallel_pairs
 
 
 def test_complete_graph_structure(cp2):
@@ -37,6 +39,99 @@ def test_complete_graph_rejects_degenerate_points():
         complete_graph([(0, 0), (1, 0), (0, 1), (0, 2)])
     with pytest.raises(ValueError):
         complete_graph([(0, 0), (1,)])
+
+
+def _complete_graph_oracle(cov):
+    """complete_graph's own point checks, frozen from before the shared point check."""
+    N = len(cov)
+    for i in range(N):
+        for j in range(N):
+            if j != i and cov[i] == cov[j]:
+                raise InputError(f"points {i + 1} and {j + 1} coincide")
+    for i in range(N):
+        others = [j for j in range(N) if j != i]
+        for a, b in parallel_pairs([LinearForm(cov[i] - cov[j]) for j in others]):
+            raise ValueError(
+                f"differences at vertex {i + 1} toward {others[a] + 1} "
+                f"and {others[b] + 1} are parallel"
+            )
+
+
+def _blow_up_oracle(pair, p0):
+    """blow_up's own star checks, frozen from before the shared point check."""
+    qs = sorted(pair.neighbors(p0))
+    d = len(qs)
+    alphas = [pair.axial[(p0, q)] for q in qs]
+    for i in range(d):
+        for j in range(d):
+            if j != i and alphas[i] == alphas[j]:
+                raise ValueError(f"axial values toward {qs[i]!r} and {qs[j]!r} coincide")
+    for i in range(d):
+        others = [j for j in range(d) if j != i]
+        for a, b in parallel_pairs([LinearForm(alphas[j] - alphas[i]) for j in others]):
+            raise ValueError(
+                f"blow-up at {p0!r}: differences toward {qs[others[a]]!r} "
+                f"and {qs[others[b]]!r} relative to {qs[i]!r} are parallel"
+            )
+
+
+def _raised(build):
+    """The class and text of the ValueError build() raises, or None."""
+    try:
+        build()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+def _star(values):
+    """A star at 'a' with the axial value values[q] toward each named neighbor q."""
+    return GkmPair(2, ["a", *values], [("a", q) for q in values],
+                   {("a", q): c for q, c in values.items()})
+
+
+def test_complete_graph_coincidence_message_and_class():
+    with pytest.raises(InputError) as got:
+        complete_graph([(0, 0), (1, 0), (1, 0)])
+    assert type(got.value) is InputError and str(got.value) == "points 2 and 3 coincide"
+
+
+def test_blow_up_coincidence_is_a_plain_value_error():
+    with pytest.raises(ValueError) as got:
+        blow_up(_star({"b": (1, 0), "c": (1, 0), "d": (0, 1)}), "a")
+    assert type(got.value) is ValueError
+    assert str(got.value) == "axial values toward 'b' and 'c' coincide"
+
+
+def test_a_coincidence_is_reported_before_a_parallel_pair():
+    # vertex 1 sees 2 and 3 on one line, and points 3 and 4 coincide
+    with pytest.raises(InputError, match="^points 3 and 4 coincide$"):
+        complete_graph([(0, 0), (1, 0), (2, 0), (2, 0)])
+    # the star differences relative to 'b' are parallel, and 'd' and 'e' coincide
+    star = _star({"b": (0, 1), "c": (1, 0), "d": (2, -1), "e": (2, -1)})
+    with pytest.raises(ValueError, match="^axial values toward 'd' and 'e' coincide$"):
+        blow_up(star, "a")
+
+
+# small coordinates, so repeated points and collinear triples are common
+point2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(point2, min_size=1, max_size=5))
+def test_complete_graph_raises_what_its_old_checks_raised(points):
+    want = _raised(lambda: _complete_graph_oracle([Covector(p) for p in points]))
+    assert _raised(lambda: complete_graph(points)) == want
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from("bcdefg"), point2.filter(any), min_size=1, max_size=5))
+def test_blow_up_raises_what_its_old_checks_raised(values):
+    star = _star(values)
+    want = _raised(lambda: _blow_up_oracle(star, "a"))
+    assert _raised(lambda: blow_up(star, "a")) == want
 
 
 def test_single_point_is_a_valid_pair():
@@ -165,3 +260,26 @@ def test_cycle_rejects_degenerate_axial():
         cycle_2valent(4, (1,), (2,))
     with pytest.raises(ValueError):
         cycle_2valent(4, (1, 0), (0, 1, 0))
+
+
+def _minors(u, v):
+    """The 2x2 minors u_r v_s - u_s v_r, r < s, of two coordinate tuples."""
+    return [u[r] * v[s] - u[s] * v[r] for r in range(len(u)) for s in range(r + 1, len(u))]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_consecutive_cycle_values_share_one_wedge(data):
+    # the pattern a1, a2, -a1, -a2 has the wedge a2 ^ a1 at every step, wraparound included
+    n = data.draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    a1, a2 = data.draw(coords), data.draw(coords)
+    wedge = _minors(a2, a1)
+    assume(any(wedge))  # independent
+    N = data.draw(st.sampled_from((4, 8, 12)))
+    pair = cycle_2valent(N, a1, a2)
+    steps = [pair.axial_at(str(i + 1), str((i + 1) % N + 1)) for i in range(N)]
+    for i in range(N):
+        assert _minors(steps[(i + 1) % N].coords, steps[i].coords) == wedge
+    assert validate_axial(pair).ok

@@ -1,8 +1,10 @@
 """Ring laws, term order, linear forms, exact division, and the residue engine."""
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -303,6 +305,46 @@ def test_residue_takes_a_plain_sequence_as_xi():
         assert residue(f, forms, tuple(xi), method=method) == want
     g, alphas = Polynomial(2, {(3, 0): 1, (1, 2): -2}), [(1, 0), (1, 1)]
     assert residue(g, alphas, [1, 2]) == residue(g, alphas, Vector((1, 2)))
+
+
+def test_constructors_return_an_argument_of_their_own_type():
+    c, v = Covector((1, Fraction(-2, 3))), Vector((Fraction(1, 2), 0))
+    f = LinearForm(c)
+    assert Covector(c) is c and Vector(v) is v and LinearForm(f) is f
+    assert LinearForm(c).covector is c
+    # another coordinate type is rebuilt, not passed through
+    assert Covector(v) == Covector(v.coords)
+
+
+def test_residue_takes_forms_and_covectors_alike():
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.choice((2, 3))
+        forms = _random_independent_forms(rng, n, rng.randint(1, 3))
+        xi = _nonvanishing_xi(rng, forms, n)
+        f = _random_poly(rng, n, 4)
+        covs = [form.covector for form in forms]
+        for method in ("series", "formula"):
+            assert residue(f, forms, xi, method=method) == residue(f, covs, xi, method=method)
+
+
+def test_copy_and_pickle_keep_type_and_equality(cp2):
+    from gkmcalc.cohomology import CohClass
+
+    c = Covector((Fraction(3, 4), -2))
+    cls = CohClass(1, {v: Polynomial.from_covector(c) for v in cp2.vertices})
+    cp2.form("1", "2")  # a filled form cache travels with the pair
+    objects = [
+        c,
+        Vector((0, Fraction(-5, 7))),
+        LinearForm(c),
+        Polynomial(2, {(2, 1): Fraction(1, 3), (0, 0): -4}),
+        cp2,
+        cls,
+    ]
+    for obj in objects:
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
 
 
 def test_residue_is_linear_in_the_numerator():
