@@ -228,8 +228,6 @@ def coh_basis(pair: GkmPair, k: int) -> tuple[int, list[CohClass]]:
 
     The kernel of the compatibility system is computed exactly.
     """
-    if k < 0:
-        return 0, []
     n = pair.n
     rows, mons = compatibility_rows(pair, k)
     M = len(mons)

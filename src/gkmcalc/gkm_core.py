@@ -332,12 +332,7 @@ class GkmPair:
                 maps[(p, q)] = m
             conn = maps
 
-        try:
-            return cls(n, vertices, edge_list, axial, conn)
-        except GraphFormatError:
-            raise
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+        return cls(n, vertices, edge_list, axial, conn)
 
 
 def _structural_connection(pair: GkmPair, maps) -> Connection:

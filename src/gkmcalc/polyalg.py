@@ -118,10 +118,6 @@ def _rational(value: int | str | Fraction) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def grlex_key(exp: Monomial) -> tuple[int, Monomial]:
-    return (sum(exp), exp)
-
-
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
         raise InputError(f"total degree {d} is above the limit {MAX_DEGREE} of monomial keys")
@@ -169,7 +165,8 @@ class _Coords:
     over one positive denominator ``_den``, in lowest terms (the zero tuple
     has denominator 1), so structural equality is mathematical equality.
     ``coords``, indexing and iteration hand out ``Fraction``s.  Built from
-    an instance of its own type, the constructor returns that instance.
+    an instance of its own type, the constructor returns that instance; a
+    string is refused rather than read as one coordinate per character.
     """
 
     __slots__ = ("_num", "_den")
@@ -177,6 +174,8 @@ class _Coords:
     def __new__(cls, coords: Iterable[int | str | Fraction]):
         if type(coords) is cls:
             return coords
+        if isinstance(coords, str):
+            raise InputError(f"coordinates must be a sequence, not the string {coords!r}")
         pairs = [_rational(c) for c in coords]
         den = math.lcm(*(b for _, b in pairs))
         return cls._raw(tuple(a * (den // b) for a, b in pairs), den)
@@ -532,52 +531,22 @@ class Polynomial:
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Ring morphism sending x_i to images[i] (default: itself).
 
-        One Horner pass on integer numerators: the images are lifted to
-        their common denominator D and each term of degree s in the
-        substituted variables to D**(top - s), so every product carries
-        D**top, divided out once at the end.  One variable at a time, the
-        terms are grouped by the exponent of x_j and
-        ``acc = acc * images[j] + inner(part_r)`` runs from the top power
-        down on raw term maps.  Variables without an image stay in the
-        monomials.  A result that could pass ``MAX_DEGREE`` raises
-        ``InputError`` before any product is formed.
+        Each term is expanded on its own: its monomial in the variables
+        without an image, times ``images[i] ** e_i`` for each variable with
+        one, scaled by the coefficient.  A product past ``MAX_DEGREE``
+        raises ``InputError`` in ``__mul__``.
         """
         n = self.n
         for i, img in images.items():
             if img.n != n or not 0 <= i < n:
                 raise ValueError("substitution images must live in the same ring")
-        if not self._terms or not images:
-            return self
-        order = sorted(images)
-        imgs = [images[i] for i in order]
-        den = math.lcm(*(img._den for img in imgs))
-        lifted = [{k: c * (den // img._den) for k, c in img._terms.items()} for img in imgs]
-        shifts = [_BITS * (n - 1 - i) for i in order]
-        grow = [(sh, d - 1) for sh, d in zip(shifts, map(Polynomial.total_degree, imgs)) if d > 1]
-        if grow:
-            _check_degree(max(
-                (k >> _BITS * n) + sum((k >> sh & _MASK) * g for sh, g in grow) for k in self._terms
-            ))
-        degrees = {k: sum(k >> sh & _MASK for sh in shifts) for k in self._terms}
-        top = max(degrees.values())
-        terms = self._terms
-        if den != 1:
-            terms = {k: c * den ** (top - degrees[k]) for k, c in terms.items()}
-
-        def horner(terms: dict[int, int], depth: int) -> dict[int, int]:
-            if depth == len(order):
-                return terms
-            parts = _split(terms, n, order[depth])
-            high = max(parts)
-            acc = horner(parts[high], depth + 1)
-            for r in range(high - 1, -1, -1):
-                acc = _mul_terms(acc, lifted[depth])
-                part = parts.get(r)
-                if part is not None:
-                    _add_into(acc, horner(part, depth + 1))
-            return acc
-
-        return self._raw(n, horner(terms, 0), self._den * den**top)
+        out = Polynomial.zero(n)
+        for exp, c in self.terms():
+            term = Polynomial(n, {tuple(0 if i in images else e for i, e in enumerate(exp)): c})
+            for i, img in images.items():
+                term = term * img ** exp[i]
+            out = out + term
+        return out
 
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.n:
@@ -679,9 +648,6 @@ class LinearForm:
 
     def canonical_covector(self) -> Covector:
         return Covector._raw(self.canonical)
-
-    def canonical_polynomial(self) -> Polynomial:
-        return Polynomial.from_covector(self.canonical_covector())
 
     def evaluate(self, vec: Vector) -> Fraction:
         return pair(self.covector, vec)

@@ -91,6 +91,50 @@ def test_unreadable_and_malformed_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def _cp2_doc(edit):
+    """The cp2 graph document (edges 0: 1-2, 1: 1-3, 2: 2-3) with one edit applied."""
+    doc = complete_graph([(0, 0), (1, 0), (0, 1)]).to_json()
+    edit(doc)
+    return doc
+
+
+# Each malformed graph document, with the message GkmPair.from_json or
+# GkmPair.__init__ raises for it as a GraphFormatError.
+MALFORMED_GRAPHS = [
+    pytest.param([], "graph document must be a JSON object", id="not-an-object"),
+    pytest.param(_cp2_doc(lambda d: d["edges"].append(dict(d["edges"][0]))),
+                 "edge ('1', '2') listed twice with the same orientation", id="edge-listed-twice"),
+    pytest.param(_cp2_doc(lambda d: d.update(connection=[])), "'connection' must be an object",
+                 id="connection-not-an-object"),
+    pytest.param(_cp2_doc(lambda d: d["connection"].update({"1-2": {}})),
+                 "connection key '1-2' is not 'p->q'", id="key-not-p-q"),
+    pytest.param(_cp2_doc(lambda d: d["connection"]["1->2"].update(x=0)),
+                 "connection['1->2'] key 'x' is not an edge index", id="inner-key-not-an-index"),
+    pytest.param(_cp2_doc(lambda d: d["connection"].update({"1->2": {"0": 7}})),
+                 "connection['1->2'] has an edge index out of range", id="index-out-of-range"),
+    pytest.param(_cp2_doc(lambda d: d["connection"].update({"1->2": {"2": 2}})),
+                 "connection['1->2']: edge 2 is not incident to '1'", id="edge-not-incident-to-p"),
+    pytest.param(_cp2_doc(lambda d: d["connection"].update({"1->2": {"0": 0, "00": 0}})),
+                 "connection['1->2'] maps edge 0 twice", id="edge-mapped-twice"),
+    pytest.param(_cp2_doc(lambda d: d["connection"].pop("1->2")),
+                 "connection must cover every oriented edge exactly (missing [('1', '2')], extra [])",
+                 id="oriented-edge-missing"),
+    pytest.param({"n": 2, "vertices": [], "edges": []}, "at least one vertex required",
+                 id="no-vertices"),
+]
+
+
+@pytest.mark.parametrize("doc,message", MALFORMED_GRAPHS)
+def test_malformed_graph_documents_exit_2_with_their_message(capsys, tmp_path, doc, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_cohdim_table(capsys, cp2_file):
     code, doc = _run_json(capsys, "cohdim", cp2_file, "--max-degree", "3")
     assert code == 0

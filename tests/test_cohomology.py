@@ -28,10 +28,14 @@ from gkmcalc.polyalg import (
     InputError,
     LinearForm,
     Polynomial,
-    grlex_key,
     monomials,
     reduce_mod_line,
 )
+
+
+def grlex_key(exp):
+    """Graded-lexicographic sort key of an exponent tuple: total degree, then the tuple."""
+    return (sum(exp), exp)
 
 
 def _oracle_dim(pair, k):

@@ -23,13 +23,14 @@ from gkmcalc import (
 )
 from gkmcalc import localization, polyalg
 from gkmcalc.cohomology import CohClass, constant_class, thom_class_vertex
+from gkmcalc.gkm_core import GkmPair
 from gkmcalc.localization import (
     cross_section,
     kirwan_map,
     pushforward_localized_sum,
     wall_crossing_step,
 )
-from gkmcalc.morse_betti import find_acyclic_xi, positively_oriented_function
+from gkmcalc.morse_betti import betti, find_acyclic_xi, orient, positively_oriented_function
 from gkmcalc.polyalg import Covector, LinearForm
 
 
@@ -126,6 +127,33 @@ def test_level_cut_validation(cp2):
     backwards = {p: -v for p, v in phi.items()}
     with pytest.raises(ValueError):
         LevelCut(xi, backwards, Fraction(1, 2)).validate(cp2)
+
+
+def test_a_string_is_refused_where_coordinates_are_expected(cp2):
+    """The string "12" is not read as the coordinates (1, 2), wherever a direction enters."""
+    phi = positively_oriented_function(cp2, Vector((1, 2)))
+    for call in (lambda: Covector("12"), lambda: Vector("12"), lambda: betti(cp2, "12"),
+                 lambda: orient(cp2, "12"), lambda: LevelCut("12", phi, Fraction(1, 2))):
+        with pytest.raises(InputError, match="not the string '12'"):
+            call()
+
+
+def test_a_lower_end_pairing_that_is_not_positive_is_an_integrity_error():
+    """The two axial values of the edge are not opposite, so the cut validates
+    while the lower end pairs negatively with xi: the check is reachable."""
+    pair = GkmPair(1, ["a", "b"], [("a", "b")], {("a", "b"): [-1], ("b", "a"): [-1]})
+    cut = LevelCut([1], {"a": 0, "b": 1}, Fraction(1, 2))
+    with pytest.raises(IntegrityError) as err:
+        jk_pushforward(pair, cut, constant_class(pair, 1))
+    assert str(err.value) == "edge ('b', 'a'): lower-end pairing not positive"
+
+
+def test_a_cut_whose_xi_lies_on_a_wall_is_refused(cp2):
+    """(1, 1) pairs to zero with the form of edge (2, 3); phi is injective and c off its levels."""
+    cut = LevelCut([1, 1], {"1": 2, "2": 1, "3": 0}, Fraction(1, 2))
+    with pytest.raises(ValueError) as err:
+        jk_pushforward(cp2, cut, constant_class(cp2, 1))
+    assert str(err.value) == "xi lies on the wall of edge ('2', '3')"
 
 
 def test_cross_section_picks_the_crossing_edges(cp2):

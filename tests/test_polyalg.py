@@ -30,7 +30,6 @@ from gkmcalc.polyalg import (
     as_fraction,
     divides_exactly,
     graded_dim,
-    grlex_key,
     is_polynomial_via_residues,
     monomials,
     pack_monomial,
@@ -44,6 +43,12 @@ from gkmcalc.polyalg import (
     residue_partial_fractions,
     simplify,
 )
+
+
+def grlex_key(exp):
+    """Graded-lexicographic sort key of an exponent tuple: total degree, then the tuple."""
+    return (sum(exp), exp)
+
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -668,7 +673,7 @@ def _long_division_oracle(form, f):
         return Polynomial.zero(f.n)
     j = form.pivot()
     cj = Fraction(form.canonical[j])
-    line = form.canonical_polynomial()
+    line = Polynomial.from_covector(form.canonical_covector())
     quotient = Polynomial.zero(f.n)
     remainder = f
     while True:
@@ -986,7 +991,7 @@ def _simplify_oracle(lsum):
     for _, mult in cleaned:
         for key, m in mult.items():
             lcd[key] = max(lcd.get(key, 0), m)
-    lines = {key: canon_forms[key].canonical_polynomial() for key in lcd}
+    lines = {key: Polynomial.from_covector(canon_forms[key].canonical_covector()) for key in lcd}
     numerator = Polynomial.zero(n)
     for num, mult in cleaned:
         piece = num
@@ -1143,7 +1148,7 @@ def test_simplify_degree_limit_counts_the_lines_a_term_already_has():
             assert str(err.value) == "total degree 65536 is above the limit 65535 of monomial keys"
 
 
-# --- packed monomial keys and the integer Horner pass --------------------------
+# --- packed monomial keys, and substitution against the Horner oracle ----------
 
 
 def _horner_oracle(f, images):
