@@ -22,10 +22,10 @@ from .polyalg import (
     Monomial,
     Polynomial,
     _add_into,
+    _check_degree,
     _check_max_degree,
     _divide_by_line,
     _reduction_table,
-    as_fraction,
     monomials,
     pack_monomial,
 )
@@ -84,7 +84,6 @@ class CohClass:
         return NotImplemented
 
     def scaled(self, q) -> "CohClass":
-        q = as_fraction(q)
         return CohClass(self.degree, {v: f.scaled(q) for v, f in self.values.items()})
 
     def __pow__(self, k: int) -> "CohClass":
@@ -195,7 +194,9 @@ def compatibility_rows(pair: GkmPair, k: int) -> tuple[list[dict[int, int]], lis
     contributing one row ``{column: int}`` per reduced monomial.  Each row
     is c_j**k times the normal-form row (c the form's primitive canonical
     covector, j its pivot), so ranks and kernels are those of the normal form.
+    A degree above ``MAX_DEGREE`` raises ``InputError`` before any monomial is listed.
     """
+    _check_degree(k)
     mons = monomials(pair.n, k)
     M = len(mons)
     vindex = {v: i for i, v in enumerate(pair.vertices)}

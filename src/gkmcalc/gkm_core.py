@@ -27,6 +27,7 @@ from .polyalg import (
     pair as pairing,
     parallel_pairs,
     reduce_covector_mod_line,
+    spell,
 )
 
 OrientedEdge = tuple[str, str]
@@ -225,10 +226,11 @@ class GkmPair:
         for p, q in self.edges:
             record[frozenset((p, q))] = len(edges_json)
             forward = self.axial[(p, q)]
-            edges_json.append({"ends": [p, q], "alpha": [str(c) for c in forward.coords]})
+            edges_json.append({"ends": [p, q], "alpha": [spell(a, forward._den) for a in forward._num]})
             backward = self.axial[(q, p)]
             if backward != -forward:
-                edges_json.append({"ends": [q, p], "alpha": [str(c) for c in backward.coords]})
+                alpha = [spell(a, backward._den) for a in backward._num]
+                edges_json.append({"ends": [q, p], "alpha": alpha})
         out: dict = {"n": self.n, "vertices": list(self.vertices), "edges": edges_json}
         if self.connection is not None:
             conn_json: dict[str, dict[str, int]] = {}

@@ -20,6 +20,7 @@ import operator
 from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .cohomology import coh_dim, compatibility_rows
@@ -34,6 +35,7 @@ from .polyalg import (
     monomials,
     pack_monomial,
     pair as pairing,
+    spell,
 )
 
 # A chamber of the wall arrangement: its sign on each parallel class, and a
@@ -493,14 +495,12 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     n = pair.n
     beta = betti(pair, o)
     class_covs = [c.canonical_covector() for c in _axial_classes(pair)]
-    ideal_cache: dict[int, int] = {}
 
+    @cache
     def ideal_dim(m: int) -> int:
         if m < 0 or not class_covs:
             return 0
-        if m not in ideal_cache:
-            ideal_cache[m] = ideal_hilbert(class_covs, 2, m)[0]
-        return ideal_cache[m]
+        return ideal_hilbert(class_covs, 2, m)[0]
 
     order = sorted(pair.vertices, key=lambda v: phi[v], reverse=True)
     vindex = {v: i for i, v in enumerate(pair.vertices)}
@@ -628,7 +628,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
         "l": l,
         "n": n,
         "valence": d,
-        "xi": [str(c) for c in xi],
+        "xi": [spell(a, xi._den) for a in xi._num],
         "star_independence_ok": not indep_failures,
         "star_independence_failures": indep_failures,
         "unique_min_ok": not min_failures,

@@ -235,17 +235,15 @@ class _Coords:
         return self._raw(tuple(-a for a in self._num), self._den)
 
     def scaled(self, q: int | Fraction) -> "_Coords":
-        if type(q) is not int:
-            q = as_fraction(q)
-        a = q.numerator
-        return self._raw(tuple(a * c for c in self._num), self._den * q.denominator)
+        a, b = _rational(q)
+        return self._raw(tuple(a * c for c in self._num), self._den * b)
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:
             raise TypeError("mismatched coordinate tuples")
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(str(c) for c in self.coords)})"
+        return f"{type(self).__name__}({', '.join(spell(a, self._den) for a in self._num)})"
 
 
 class Covector(_Coords):
@@ -282,18 +280,14 @@ def _key(exp: Monomial, n: int) -> int:
 def _clear(terms: list[tuple[int, int, int]]) -> tuple[dict[int, int], int]:
     """Sum (key, numerator, denominator) triples per key over the lcm of the denominators.
 
-    Zeros are dropped and the result is reduced to lowest terms.
+    Zeros are dropped; ``Polynomial._raw`` reduces the result to lowest terms.
     """
     den = math.lcm(*(b for _, _, b in terms))
     acc: dict[int, int] = {}
     get = acc.get
     for key, a, b in terms:
         acc[key] = get(key, 0) + a * (den // b)
-    acc = {k: c for k, c in acc.items() if c}
-    g = math.gcd(den, *acc.values())
-    if g != 1:
-        acc, den = {k: c // g for k, c in acc.items()}, den // g
-    return acc, den
+    return {k: c for k, c in acc.items() if c}, den
 
 
 def _mul_terms(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
@@ -373,9 +367,10 @@ class Polynomial:
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self._terms, self._den = _clear(
+        p = self._raw(self.n, *_clear(
             [(_key(tuple(int(e) for e in exp), self.n), *_rational(coef)) for exp, coef in items]
-        )
+        ))
+        self._terms, self._den = p._terms, p._den
 
     # --- constructors -------------------------------------------------
 
@@ -385,8 +380,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c: int | str | Fraction) -> "Polynomial":
-        q = as_fraction(c)
-        return cls._raw(n, {0: q.numerator} if q else {}, q.denominator)
+        a, b = _rational(c)
+        return cls._raw(n, {0: a} if a else {}, b)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -402,9 +397,9 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, n: int, terms: dict[int, int], den: int = 1) -> "Polynomial":
-        """Wrap nonzero integer numerators over den > 0, reduced to lowest terms."""
+        """Wrap nonzero integer numerators over a nonzero den, reduced to lowest terms."""
         if den != 1:
-            g = math.gcd(den, *terms.values())
+            g = math.gcd(den, *terms.values()) if den > 0 else -math.gcd(den, *terms.values())
             if g != 1:
                 terms = {e: c // g for e, c in terms.items()}
                 den //= g
@@ -473,14 +468,7 @@ class Polynomial:
         g = math.gcd(d1, d2)
         f1, f2 = d2 // g, d1 // g
         out = {e: c * f1 for e, c in self._terms.items()} if f1 != 1 else dict(self._terms)
-        f2 *= sign
-        get = out.get
-        for e, c in other._terms.items():
-            total = get(e, 0) + c * f2
-            if total:
-                out[e] = total
-            else:
-                del out[e]
+        _add_into(out, other._terms, sign * f2)
         return self._raw(self.n, out, d1 * f1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -506,12 +494,11 @@ class Polynomial:
         return NotImplemented
 
     def scaled(self, q: int | Fraction) -> "Polynomial":
-        q = as_fraction(q)
-        if not q:
+        a, b = _rational(q)
+        if not a:
             return Polynomial.zero(self.n)
-        a = q.numerator
         terms = {e: a * c for e, c in self._terms.items()} if a != 1 else self._terms
-        return self._raw(self.n, terms, self._den * q.denominator)
+        return self._raw(self.n, terms, self._den * b)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -533,7 +520,8 @@ class Polynomial:
 
         Each term is expanded on its own: its monomial in the variables
         without an image, times ``images[i] ** e_i`` for each variable with
-        one, scaled by the coefficient.  A product past ``MAX_DEGREE``
+        one, scaled by the coefficient; a term that raises a zero image to a
+        positive power is zero and skipped.  A product past ``MAX_DEGREE``
         raises ``InputError`` in ``__mul__``.
         """
         n = self.n
@@ -542,6 +530,8 @@ class Polynomial:
                 raise ValueError("substitution images must live in the same ring")
         out = Polynomial.zero(n)
         for exp, c in self.terms():
+            if any(exp[i] and img.is_zero() for i, img in images.items()):
+                continue
             term = Polynomial(n, {tuple(0 if i in images else e for i, e in enumerate(exp)): c})
             for i, img in images.items():
                 term = term * img ** exp[i]
@@ -748,8 +738,6 @@ def reduce_mod_line(f: Polynomial, form: LinearForm) -> Polynomial:
     if f.n != form.n:
         raise ValueError("ring dimension mismatch")
     _, remainder, lift = _divide_by_line(f._terms, f.n, form)
-    if lift < 0:
-        remainder, lift = {e: -a for e, a in remainder.items()}, -lift
     return Polynomial._raw(f.n, remainder, f._den * lift)
 
 
@@ -798,7 +786,8 @@ def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:
     quotient, remainder, lift = _divide_by_line(f._terms, f.n, form)
     if remainder:
         return None
-    return Polynomial._raw(f.n, quotient).scaled(1 / (f._den * lift * form.scale))
+    d = form.covector._den  # the scale is _g / d
+    return Polynomial._raw(f.n, {e: c * d for e, c in quotient.items()}, f._den * lift * form._g)
 
 
 def _expansion(f: Polynomial, xi: Vector) -> list[dict[int, int]]:
@@ -936,8 +925,6 @@ def simplify(lsum: LocalizedSum) -> tuple[Polynomial, tuple[LinearForm, ...]]:
             lcd[key] -= 1
     if not numerator:
         return Polynomial.zero(n), ()
-    if den < 0:
-        numerator, den = {k: -c for k, c in numerator.items()}, -den
     canon = {key: LinearForm(Covector._raw(key)) for key, m in lcd.items() if m}
     return Polynomial._raw(n, numerator, den), tuple(canon[key] for key in sorted(lcd.elements()))
 
@@ -1003,8 +990,6 @@ def _series(
     top = len(back) - 1
     scale = xi._den * math.prod(form.covector._den for form in forms)
     den = f._den * math.prod(ms) * lcm**mmax * w**top
-    if den < 0:
-        den, scale = -den, -scale
     out, uj = {}, _unit(n, j)
     for r, t in enumerate(back):
         factor = scale * w ** (top - r)
@@ -1128,10 +1113,7 @@ def is_polynomial_via_residues(
     """
     if pair(theta, xi) != 1:
         raise ValueError("theta must satisfy theta(xi) = 1")
-    classes = set()
-    for term in lsum.terms:
-        for form in term.denominators:
-            classes.add(form.canonical)
+    classes = {form.canonical for term in lsum.terms for form in term.denominators}
     theta_form = LinearForm(theta)
     if theta_form.canonical in classes:
         raise ValueError("theta must not be parallel to a denominator factor")
@@ -1146,9 +1128,7 @@ def is_polynomial_via_residues(
             power = power * theta_poly
         total = Polynomial.zero(lsum.n)
         for term in lsum.terms:
-            total = total + _residue_series(
-                term.numerator * power, list(term.denominators), xi
-            )
+            total = total + residue(term.numerator * power, term.denominators, xi)
         if not total.is_zero():
             return False
     return True

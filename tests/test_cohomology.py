@@ -125,6 +125,13 @@ def test_negative_degree_has_no_classes(cp2):
     assert coh_dim(cp2, -1) == 0
 
 
+def test_a_degree_past_the_key_limit_is_refused_before_any_work(k5n3):
+    # monomials(3, 65536) alone would list about 2.1e9 exponent tuples
+    for call in (compatibility_rows, coh_dim, coh_basis):
+        with pytest.raises(InputError, match="total degree 65536 is above the limit 65535"):
+            call(k5n3, 65536)
+
+
 def test_class_predicate(cp2):
     one = constant_class(cp2, 1)
     ok, witness = is_class(cp2, one.values)

@@ -944,6 +944,22 @@ def test_morse_inequalities_orients_once(k5n3, monkeypatch):
     assert len(calls) == 1
 
 
+def test_morse_inequalities_computes_each_ideal_dimension_once(k5n3, monkeypatch):
+    calls = []
+    real = morse_betti.ideal_hilbert
+
+    def counted(forms, l, m):
+        calls.append(m)
+        return real(forms, l, m)
+
+    monkeypatch.setattr(morse_betti, "ideal_hilbert", counted)
+    out = morse_inequalities(k5n3, find_acyclic_xi(k5n3), 3)
+    assert out["ok"]
+    wanted = [s["k"] - s["sigma"] for s in out["steps"] if s["k"] >= s["sigma"]]
+    assert len(wanted) > len(set(wanted))  # the same m recurs across degrees
+    assert sorted(calls) == sorted(set(wanted))
+
+
 def test_betti_with_xi_orients_once(cp2, tmp_path, monkeypatch):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps(cp2.to_json()))

@@ -499,6 +499,13 @@ def test_polynomiality_detector():
         is_polynomial_via_residues(pole, xi, theta, 0)  # below the Vandermonde bound
 
 
+def test_polynomiality_detector_refuses_a_denominator_that_vanishes_on_xi():
+    x0, x1 = LinearForm(Covector((1, 0))), LinearForm(Covector((0, 1)))
+    lsum = LocalizedSum(2, (LocalizedTerm(x0.polynomial(), (x0, x1)),))
+    with pytest.raises(ValueError, match="denominator 1 vanishes on xi"):
+        is_polynomial_via_residues(lsum, Vector((1, 0)), Covector((1, 1)), 2)
+
+
 # --- the kernel against sympy ------------------------------------------------
 
 kernel_settings = settings(max_examples=100, deadline=None)
@@ -910,6 +917,24 @@ def test_coordinate_spellings_and_rejections():
             half.scaled(bad)
 
 
+@seed(20261020)
+@kernel_settings
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * n), st.integers(-12, 12).filter(bool), max_size=5))),
+    st.integers(1, 12))
+def test_raw_takes_a_denominator_of_either_sign(case, d):
+    n, spec = case
+    terms = {pack_monomial(e): c for e, c in spec.items()}
+    neg = Polynomial._raw(n, dict(terms), -d)
+    assert neg == Polynomial._raw(n, {k: -c for k, c in terms.items()}, d) and neg._den > 0
+    assert neg == Polynomial(n, {e: Fraction(-c, d) for e, c in spec.items()})
+    num = tuple(spec.values())
+    for cls in (Covector, Vector):
+        u = cls._raw(num, -d)
+        assert u == cls._raw(tuple(-a for a in num), d) and u._den > 0
+        assert u.coords == tuple(Fraction(-a, d) for a in num)
+
+
 # --- linear normal forms on covectors -----------------------------------------
 
 
@@ -1214,6 +1239,15 @@ def test_substitute_matches_the_horner_oracle(case):
     got, want = f.substitute(images), _horner_oracle(f, images)
     assert got == want
     assert got.to_json() == want.to_json() and repr(got) == repr(want)
+
+
+def test_substitute_skips_a_term_whose_image_is_zero():
+    # (y**2)**65534 alone is past the limit, but its term is multiplied by a zero image
+    y2 = Polynomial(2, {(0, 2): 1})
+    images = {0: y2, 1: Polynomial.zero(2)}
+    for f, want in ((Polynomial(2, {(MAX_DEGREE - 1, 1): 1}), Polynomial.zero(2)),
+                    (Polynomial(2, {(MAX_DEGREE - 1, 1): 1, (1, 0): 3}), y2.scaled(3))):
+        assert f.substitute(images) == _horner_oracle(f, images) == want
 
 
 @seed(20261018)
