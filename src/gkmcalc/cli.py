@@ -31,7 +31,6 @@ from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
     GkmPair,
     GraphFormatError,
-    ValidationReport,
     validate_axial,
     validate_connection,
 )
@@ -161,11 +160,9 @@ def _xi_from(text: str | None, pair: GkmPair) -> Vector:
 def cmd_validate(args):
     gpair = _load_pair(args.graph)
     report = validate_axial(gpair)
-    violations = list(report.violations)
     if gpair.connection is not None:
-        violations.extend(validate_connection(gpair, gpair.connection).violations)
-    merged = ValidationReport(tuple(violations), report.valence)
-    return merged.to_json(), merged.ok
+        report.violations.extend(validate_connection(gpair, gpair.connection).violations)
+    return report.to_json(), report.ok
 
 
 def cmd_cohdim(args):

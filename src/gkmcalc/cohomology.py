@@ -26,6 +26,7 @@ from .polyalg import (
     _check_max_degree,
     _divide_by_line,
     _reduction_table,
+    divides_exactly,
     monomials,
     pack_monomial,
 )
@@ -274,11 +275,8 @@ def is_symplectic(pair: GkmPair, c: CohClass) -> bool:
         raise ValueError("symplectic candidates must have degree 1")
     _check_class(pair, c.values)
     for p, q in pair.edges:
-        diff = c.value(p) - c.value(q)
-        alpha = Polynomial.from_covector(pair.axial_at(q, p))
-        exp0 = next(exp for exp, _ in alpha.terms())
-        lam = diff.coefficient(exp0) / alpha.coefficient(exp0)
-        if diff != alpha.scaled(lam) or lam <= 0:
+        lam = divides_exactly(pair.form(q, p), c.value(p) - c.value(q))
+        if lam is None or lam.coefficient((0,) * pair.n) <= 0:
             return False
     return True
 

@@ -122,7 +122,6 @@ class GkmPair:
         vset = set(vs)
 
         edge_list: list[OrientedEdge] = []
-        self._edge_keys: set[frozenset] = set()
         adjacency: dict[str, list[str]] = {v: [] for v in vs}
         for e in edges:
             p, q = e
@@ -130,10 +129,8 @@ class GkmPair:
                 raise GraphFormatError(f"edge ({p!r}, {q!r}) mentions an unknown vertex")
             if p == q:
                 raise GraphFormatError(f"loop at {p!r} not allowed")
-            key = frozenset((p, q))
-            if key in self._edge_keys:
+            if q in adjacency[p]:
                 raise GraphFormatError(f"duplicate edge between {p!r} and {q!r}")
-            self._edge_keys.add(key)
             edge_list.append((p, q))
             adjacency[p].append(q)
             adjacency[q].append(p)
@@ -143,7 +140,7 @@ class GkmPair:
         ax: dict[OrientedEdge, Covector] = {}
         for key, val in axial.items():
             p, q = key
-            if frozenset((p, q)) not in self._edge_keys:
+            if q not in self._adjacency.get(p, ()):
                 raise GraphFormatError(f"axial value given for a non-edge ({p!r}, {q!r})")
             cov = Covector(val)
             if cov.n != self.n:
@@ -393,7 +390,7 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
     distinct = sorted(set(degs.values()))
     valence = distinct[0] if len(distinct) == 1 else None
     if valence is None:
-        violations.append(Violation("valence", {"degrees": {v: degs[v] for v in pair.vertices}}))
+        violations.append(Violation("valence", {"degrees": degs}))
 
     for p, q in pair.edges:
         if pair.axial_at(q, p) != -pair.axial_at(p, q):
@@ -481,12 +478,11 @@ def _normalize_subgraph(
     keys: set[frozenset] = set()
     for e in sub_edges:
         p, q = e
-        key = frozenset((p, q))
-        if key not in pair._edge_keys:
+        if q not in pair._adjacency.get(p, ()):
             raise ValueError(f"({p!r}, {q!r}) is not an edge of the pair")
         if p not in vs or q not in vs:
             raise ValueError(f"subgraph edge ({p!r}, {q!r}) leaves the vertex set")
-        keys.add(key)
+        keys.add(frozenset((p, q)))
     ordered = [v for v in pair.vertices if v in vs]
     return ordered, keys
 

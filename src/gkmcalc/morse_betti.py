@@ -27,6 +27,7 @@ from .cohomology import coh_dim, compatibility_rows
 from .gkm_core import GkmPair, OrientedEdge, subgraph_gamma_h
 from .polyalg import (
     Covector,
+    InputError,
     LinearForm,
     Polynomial,
     Vector,
@@ -378,24 +379,20 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
     count.  Both facts need the compatibility across edges, so this is
     only meaningful for pairs carrying a valid connection.
     """
-    classes = _axial_classes(pair)
     o1 = orient(pair, xi)
     o2 = orient(pair, xi2)
-    s1 = [sum(map(operator.mul, c.canonical, o1.xi._num)) > 0 for c in classes]
-    s2 = [sum(map(operator.mul, c.canonical, o2.xi._num)) > 0 for c in classes]
-    diff = [i for i in range(len(classes)) if s1[i] != s2[i]]
+    # an edge turns exactly when its class changes sign
+    crossed = [(e, e1) for e, e1, e2 in zip(pair.edges, o1.edges, o2.edges) if e1 != e2]
+    diff = {pair.form(*e).canonical for e, _ in crossed}
     if len(diff) != 1:
         raise ValueError(
             f"need sign vectors differing in exactly one class, got {len(diff)} differences"
         )
-    target = classes[diff[0]].canonical
     edge_reports = []
     touched: set[str] = set()
     edges_ok = True
-    for (p, q), (low, high) in zip(pair.edges, o1.edges):
-        if pair.form(p, q).canonical != target:
-            continue
-        touched.update((p, q))
+    for e, (low, high) in crossed:
+        touched.update(e)
         before = (o1.sigma[low], o1.sigma[high])
         after = (o2.sigma[low], o2.sigma[high])
         ok = before[1] == before[0] + 1 and after == (before[1], before[0])
@@ -407,7 +404,7 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
         o1.sigma[v] == o2.sigma[v] for v in pair.vertices if v not in touched
     )
     return {
-        "class": list(target),
+        "class": list(diff.pop()),
         "edges": edge_reports,
         "others_fixed": others_fixed,
         "ok": edges_ok and others_fixed,
@@ -417,8 +414,9 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
 def find_acyclic_xi(pair: GkmPair) -> Vector:
     """First chamber direction, in sign-vector order, with an acyclic orientation."""
     for _, witness in _chamber_search(_axial_classes(pair), pair.n):
-        if is_acyclic(orient(pair, witness))[0]:
-            return Vector(witness)
+        o = orient(pair, witness)
+        if is_acyclic(o)[0]:
+            return o.xi
     raise ValueError("no acyclic orientation found in any chamber")
 
 
@@ -553,7 +551,6 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
             raise ArithmeticError(
                 "filtered dimension at the bottom level disagrees with the row rank"
             )
-        del columns
     return {"betti": beta, "morse": morse_rows, "steps": steps, "ok": overall}
 
 
@@ -569,6 +566,8 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
     is only reported.
     """
     _check_max_degree(max_k)
+    if l < 1:
+        raise InputError(f"--l must be at least 1, got {l}")
     xi = find_acyclic_xi(pair)
     n = pair.n
     d = pair.valence
@@ -583,10 +582,10 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
     seen_spans: set[tuple] = set()
     for size in range(0, l):
         for combo in itertools.combinations(range(len(normals)), size):
-            chosen = [normals[i] for i in combo]
-            if linalg.rank([list(c) for c in chosen], n) < size:
-                continue
-            h_basis = linalg.kernel_basis([list(c) for c in chosen], n)
+            rows = [list(normals[i]) for i in combo]
+            h_basis = linalg.kernel_basis(rows, n)
+            if len(h_basis) != n - size:
+                continue  # the chosen normals are dependent
             key = tuple(tuple(v) for v in h_basis)
             if key in seen_spans:
                 continue
@@ -594,20 +593,14 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
             try:
                 components = subgraph_gamma_h(pair, h_basis)
             except ValueError as err:
-                min_failures.append(
-                    {"normals": [list(c) for c in chosen], "error": str(err)}
-                )
+                min_failures.append({"normals": rows, "error": str(err)})
                 continue
             for comp in components:
                 # xi is a chamber witness of the whole pair, so no edge of comp is on a wall
                 beta0 = betti(comp, xi)[0]
                 if beta0 != 1:
                     min_failures.append(
-                        {
-                            "normals": [list(c) for c in chosen],
-                            "component": list(comp.vertices),
-                            "beta0": beta0,
-                        }
+                        {"normals": rows, "component": list(comp.vertices), "beta0": beta0}
                     )
     beta = betti(pair, xi)
     table = []

@@ -413,6 +413,14 @@ def test_betti_xi_of_the_wrong_dimension_exits_2(capsys, cp2_file):
     assert captured.out == "" and "--xi has 3 coordinates" in captured.err
 
 
+@pytest.mark.parametrize("l", ["0", "-3"])
+def test_morse_l_below_one_exits_2(capsys, cp2_file, l):
+    code = main(["morse", cp2_file, "--xi", "1,2", "--l", l])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and f"--l must be at least 1, got {l}" in captured.err
+
+
 def _degree0_class(vertices, n):
     one = {"n": n, "terms": [{"exp": [0] * n, "coef": "1"}]}
     return {"degree": 0, "values": {v: one for v in vertices}}

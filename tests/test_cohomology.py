@@ -416,3 +416,27 @@ def test_reduction_table_scales_the_normal_form(form, k):
     assert _reduction_table(form, k, mons) == expected
     if n == 1 and k >= 1:
         assert expected == []
+
+
+def _cp2_values(*degrees):
+    x = Polynomial.variable(2, 0)
+    return {v: x ** d for v, d in zip(("1", "2", "3"), degrees)}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cp2: CohClass(-1, {}), "class degree must be nonnegative"),
+    (lambda cp2: CohClass(1, _cp2_values(0, 1, 1)), "value at '1' has degree 0, expected 1"),
+    (lambda cp2: CohClass(1, _cp2_values(1, 1)) + CohClass(1, _cp2_values(1, 1, 1)),
+     "classes live on different vertex sets"),
+    (lambda cp2: CohClass(1, _cp2_values(1, 1, 1)) ** -1, "negative power"),
+    (lambda cp2: is_class(cp2, _cp2_values(1, 2, 1)), "values mix degrees [1, 2]"),
+])
+def test_class_guards_raise_their_messages(cp2, call, message):
+    with pytest.raises(ValueError) as info:
+        call(cp2)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_an_integer_times_a_class_is_the_scaled_class():
+    c = CohClass(1, _cp2_values(1, 1, 1))
+    assert 3 * c == c.scaled(3)

@@ -283,3 +283,9 @@ def test_consecutive_cycle_values_share_one_wedge(data):
     for i in range(N):
         assert _minors(steps[(i + 1) % N].coords, steps[i].coords) == wedge
     assert validate_axial(pair).ok
+
+
+def test_an_isolated_vertex_cannot_be_blown_up():
+    with pytest.raises(ValueError) as info:
+        blow_up(GkmPair(1, ["a"], [], {}), "a")
+    assert type(info.value) is ValueError and str(info.value) == "cannot blow up an isolated vertex"

@@ -438,3 +438,25 @@ def test_connection_errors_are_arithmetic_errors():
     assert info.value.oriented_edge == ("1", "2") and info.value.at == "4"
     err = AmbiguousConnection(("1", "5"))
     assert isinstance(err, ArithmeticError) and err.oriented_edge == ("1", "5")
+
+
+def _path_abc():
+    """The path a - b - c in dimension 1: irregular, and (a, c) is not an edge."""
+    return GkmPair(1, ["a", "b", "c"], [("a", "b"), ("b", "c")], {("a", "b"): [1], ("b", "c"): [2]})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda cp2: GkmPair(1, ["a", "b", "c"], [("a", "b")], {("a", "b"): [1], ("a", "c"): [1]}),
+     GraphFormatError, "axial value given for a non-edge ('a', 'c')"),
+    (lambda cp2: subpair(_path_abc(), ["a", "c"], [("a", "c")]),
+     ValueError, "('a', 'c') is not an edge of the pair"),
+    (lambda cp2: subpair(cp2, ["1"], [("1", "2")]),
+     ValueError, "subgraph edge ('1', '2') leaves the vertex set"),
+    (lambda cp2: cp2.neighbors("9"), ValueError, "unknown vertex '9'"),
+    (lambda cp2: _path_abc().valence, ValueError, "graph is not regular; valence undefined"),
+    (lambda cp2: relabel(cp2, {"1": "2"}), ValueError, "relabeling must be injective"),
+])
+def test_graph_guards_raise_their_messages(cp2, call, error, message):
+    with pytest.raises(error) as info:
+        call(cp2)
+    assert type(info.value) is error and str(info.value) == message

@@ -447,3 +447,14 @@ def test_full_sweep_expands_each_vertex_value_once(monkeypatch):
     out = full_sweep(k5, find_acyclic_xi(k5), f)
     assert sorted(expanded) == sorted(k5.vertices)
     assert any(not r.is_zero() for r in out["perVertexResidues"].values())
+
+
+def test_wall_crossing_step_refuses_cuts_with_different_levels(cp2):
+    xi = Vector((1, 2))
+    phi = positively_oriented_function(cp2, xi)
+    doubled = {p: 2 * v for p, v in phi.items()}
+    hi = LevelCut(xi, phi, Fraction(-1, 2))
+    lo = LevelCut(xi, doubled, Fraction(-3, 2))
+    with pytest.raises(ValueError) as info:
+        wall_crossing_step(cp2, hi, lo, constant_class(cp2, 1))
+    assert type(info.value) is ValueError and str(info.value) == "cuts must share xi and phi"

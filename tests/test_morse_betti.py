@@ -983,3 +983,41 @@ def test_negative_degree_bounds_are_refused(cp2):
         morse_inequalities(cp2, Vector([1, 2]), -1)
     with pytest.raises(InputError, match="^--max-degree must be nonnegative, got -3$"):
         betti_equality_report(cp2, 2, -3)
+
+
+def test_orient_refuses_a_direction_of_the_wrong_length(cp2):
+    with pytest.raises(ValueError) as info:
+        orient(cp2, [1, 2, 3])
+    assert type(info.value) is ValueError and str(info.value) == "xi has 3 coordinates, expected 2"
+
+
+def test_equality_report_records_a_component_with_two_minima():
+    # a and c are both sources (or both sinks) of the x-parallel square
+    square = GkmPair(
+        2,
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("c", "b"), ("c", "d"), ("a", "d")],
+        {("a", "b"): (1, 0), ("c", "b"): (1, 0), ("c", "d"): (1, 0), ("a", "d"): (1, 0)},
+    )
+    out = betti_equality_report(square, 2, 1)
+    assert out["unique_min_failures"] == [
+        {"normals": [[Fraction(1), Fraction(0)]], "component": ["a", "b", "c", "d"], "beta0": 2}
+    ]
+    assert all(type(x) is Fraction for x in out["unique_min_failures"][0]["normals"][0])
+
+
+@pytest.mark.parametrize("l", [0, -3])
+def test_equality_report_refuses_l_below_one(cp2, l):
+    # the message cmd_morse prints for --l 0
+    with pytest.raises(InputError) as info:
+        betti_equality_report(cp2, l, 2)
+    assert str(info.value) == f"--l must be at least 1, got {l}"
+
+
+@pytest.mark.parametrize("xi2, count", [((-1, -2), 3), ((1, 2), 0), ((2, 3), 0)])
+def test_wall_crossing_counts_the_classes_that_change_sign(cp2, xi2, count):
+    with pytest.raises(ValueError) as info:
+        wall_crossing_check(cp2, Vector((1, 2)), Vector(xi2))
+    assert str(info.value) == (
+        f"need sign vectors differing in exactly one class, got {count} differences"
+    )

@@ -1696,3 +1696,19 @@ def test_project_along_matches_the_horner_route(data):
     f = data.draw(polynomials(n, data.draw(st.integers(-1, 7))))
     got, want = project_along(f, LinearForm(cov), xi), _horner_project_along(f, LinearForm(cov), xi)
     assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Polynomial.variable(2, 5), "variable index out of range"),
+    (lambda: (Polynomial.variable(2, 0) + Polynomial.constant(2, 1)).homogeneous_degree(),
+     "polynomial is not homogeneous"),
+    (lambda: reduce_mod_line(Polynomial.variable(3, 0), LinearForm([1, 0])), "ring dimension mismatch"),
+    (lambda: divides_exactly(LinearForm([1, 0]), Polynomial.variable(3, 0)), "ring dimension mismatch"),
+    (lambda: LocalizedSum(2, (LocalizedTerm(Polynomial.variable(3, 0), ()),)),
+     "localized term in the wrong ring"),
+    (lambda: residue(Polynomial.variable(2, 0), [], (0, 0)), "xi must be nonzero"),
+])
+def test_number_layer_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
