@@ -26,7 +26,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .cohomology import CohClass, coh_basis, coh_dim, is_class
+from .cohomology import CohClass, coh_basis, is_class
 from .constructions import blow_up, complete_graph, cycle_2valent, product
 from .gkm_core import (
     GkmPair,
@@ -40,6 +40,7 @@ from .morse_betti import (
     betti,
     betti_equality_report,
     betti_invariance_check,
+    class_dims,
     find_acyclic_xi,
     morse_inequalities,
     orient,
@@ -168,16 +169,15 @@ def cmd_validate(args):
 def cmd_cohdim(args):
     _check_max_degree(args.max_degree)
     gpair = _load_pair(args.graph)
+    if not args.basis:
+        return {str(k): dim for k, dim in enumerate(class_dims(gpair, args.max_degree))}, True
+    outdir = Path(args.basis)
+    outdir.mkdir(parents=True, exist_ok=True)
     dims = {}
     for k in range(args.max_degree + 1):
-        if args.basis:
-            dims[str(k)], classes = coh_basis(gpair, k)
-            outdir = Path(args.basis)
-            outdir.mkdir(parents=True, exist_ok=True)
-            for i, cls in enumerate(classes):
-                _emit(cls, outdir / f"deg{k}_{i}.json")
-        else:
-            dims[str(k)] = coh_dim(gpair, k)
+        dims[str(k)], classes = coh_basis(gpair, k)
+        for i, cls in enumerate(classes):
+            _emit(cls, outdir / f"deg{k}_{i}.json")
     return dims, True
 
 

@@ -10,7 +10,7 @@ re-checked against the compatibility condition.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,40 +186,56 @@ def as_class(pair: GkmPair, values: Mapping[str, Polynomial]) -> CohClass:
     return CohClass(_common_degree(values), dict(values))
 
 
-def compatibility_rows(pair: GkmPair, k: int) -> tuple[list[dict[int, int]], list[Monomial]]:
+def compatibility_rows(
+    pair: GkmPair, k: int, vertices: Sequence[str] | None = None
+) -> tuple[list[dict[int, int]], list[Monomial]]:
     """Linear constraints cutting out the degree-k classes, as sparse integer rows.
 
     One unknown per (vertex, degree-k monomial), vertex-major in the order
-    of pair.vertices with monomials graded-lex descending; per edge, the
-    normal form of f(p) - f(q) modulo the edge form must vanish,
-    contributing one row ``{column: int}`` per reduced monomial.  Each row
-    is c_j**k times the normal-form row (c the form's primitive canonical
-    covector, j its pivot), so ranks and kernels are those of the normal form.
-    A degree above ``MAX_DEGREE`` raises ``InputError`` before any monomial is listed.
+    of ``vertices`` (default pair.vertices) with monomials graded-lex
+    descending; per edge, the normal form of f(p) - f(q) modulo the edge
+    form must vanish, contributing one row ``{column: int}`` per reduced
+    monomial.  Each row is c_j**k times the normal-form row (c the form's
+    primitive canonical covector, j its pivot), so ranks and kernels are
+    those of the normal form.  Given a vertex list, the rows are those of
+    the classes vanishing off it: only edges meeting the list contribute,
+    and an end outside it contributes no entries.  A degree above
+    ``MAX_DEGREE`` raises ``InputError`` before any monomial is listed.
     """
     _check_degree(k)
     mons = monomials(pair.n, k)
     M = len(mons)
-    vindex = {v: i for i, v in enumerate(pair.vertices)}
+    offset = {v: i * M for i, v in enumerate(pair.vertices if vertices is None else vertices)}
     rows: list[dict[int, int]] = []
     tables: dict[tuple[int, ...], list[list[tuple]]] = {}
     for p, q in pair.edges:
+        poff, qoff = offset.get(p), offset.get(q)
+        if poff is None and qoff is None:
+            continue
         form = pair.form(p, q)
         table = tables.get(form.canonical)
         if table is None:
             table = tables[form.canonical] = _reduction_table(form, k, mons)
-        poff, qoff = vindex[p] * M, vindex[q] * M
         for entries in table:
             row = {}
-            for mi, coef in entries:
-                row[poff + mi] = coef
-                row[qoff + mi] = -coef
+            if poff is not None:
+                for mi, coef in entries:
+                    row[poff + mi] = coef
+            if qoff is not None:
+                for mi, coef in entries:
+                    row[qoff + mi] = -coef
             rows.append(row)
     return rows, mons
 
 
 def coh_dim(pair: GkmPair, k: int) -> int:
-    """Dimension of the degree-k piece: columns minus the compatibility rank."""
+    """Dimension of the degree-k piece: columns minus the compatibility rank.
+
+    This is the elimination route, one degree at a time.
+    ``morse_betti.class_dims`` reads every degree off flow-up classes when
+    they exist and falls back to this; it stays the oracle the certificate
+    is tested against.
+    """
     rows, mons = compatibility_rows(pair, k)
     ncols = len(pair.vertices) * len(mons)
     return ncols - linalg.rank(rows, ncols)

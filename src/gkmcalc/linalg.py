@@ -18,7 +18,7 @@ of Fractions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -103,6 +103,11 @@ class RankTracker:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> Collection[int]:
+        """The basis rows' first nonzero columns, one per row."""
+        return self._rows.keys()
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """Back-substitute to the reduced echelon form, keyed by ascending pivot."""

@@ -6,9 +6,9 @@ edges (sigma) has a chamber-invariant histogram, the combinatorial Betti
 numbers, and when the orientation is acyclic those numbers bound the
 dimensions of the class spaces degree by degree.  This module computes
 the orientations, the level functions, the Betti numbers with their
-invariance report, the dimension bounds with exact filtered steps, and
-the Hilbert functions of the omit-a-few-factors monomial ideals those
-bounds rest on.
+invariance report, the class dimensions read off flow-up classes, the
+dimension bounds with exact filtered steps, and the Hilbert functions of
+the omit-a-few-factors monomial ideals those bounds rest on.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import graphlib
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,18 +474,112 @@ def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:
     return linalg.rank(rows, ncols), total
 
 
+def _flow_up_dims(pair: GkmPair, o: Orientation, max_k: int) -> list[int] | None:
+    """Class dimensions in degrees 0..max_k read off flow-up classes, or None.
+
+    List the vertices top first (``_upward_order``).  A class vanishing on
+    the vertices after p has at p a value that every downward form at p
+    divides; when those forms are pairwise non-parallel their product, of
+    degree sigma_p, divides it, so the classes on the first i vertices
+    exceed those on the first i - 1 by at most dim S^(k - sigma_p).  A
+    flow-up class of p has degree sigma_p, vanishes after p and has that
+    product as its value at p; the products of the flow-up classes with
+    S^(k - sigma_p) are independent, being triangular in that order.  So
+    when every p with sigma_p <= max_k has one, dim H^k is the sum over p
+    of dim S^(k - sigma_p) for every k <= max_k.
+
+    Existence is checked with one elimination per sigma value s <= max_k:
+    the degree-s rows of the classes vanishing off the prefix that ends at
+    the last vertex with sigma = s, column blocks in prefix order.  A
+    stored row's pivot is its first nonzero column, so the classes on the
+    first i blocks have dimension i * M minus the pivots in those blocks,
+    and p has a flow-up class exactly when its block holds M - 1 pivots.
+    None means the certificate does not apply: a directed cycle, a vertex
+    whose downward forms are parallel or do not number sigma, or a missing
+    flow-up class.
+    """
+    _, order, cycle = _upward_order(o)
+    if cycle is not None:
+        return None
+    below: dict[str, list[tuple[int, ...]]] = {v: [] for v in o.vertices}
+    for (_, high), edge in zip(o.edges, pair.edges):
+        below[high].append(pair.form(*edge).canonical)
+    sigma = o.sigma
+    if any(len(forms) != sigma[v] or len(set(forms)) < len(forms) for v, forms in below.items()):
+        return None
+    last = {sigma[v]: i for i, v in enumerate(order)}
+    for s, end in last.items():
+        if s > max_k:
+            continue
+        prefix = order[: end + 1]
+        rows, mons = compatibility_rows(pair, s, prefix)
+        M = len(mons)
+        tracker = linalg.RankTracker(len(prefix) * M)
+        tracker.extend(rows)
+        pivots = Counter(c // M for c in tracker.pivots)
+        if any(pivots[i] != M - 1 for i, v in enumerate(prefix) if sigma[v] == s):
+            return None
+    n = pair.n
+    return [sum(graded_dim(n, k - sigma[v]) for v in order) for k in range(max_k + 1)]
+
+
+def class_dims(pair: GkmPair, max_k: int) -> list[int]:
+    """Class-space dimensions in degrees 0..max_k.
+
+    Read off flow-up classes (``_flow_up_dims``) along (1, t, ..., t^(n-1))
+    with the least t >= 2 off every wall: a wall excludes the at most
+    n - 1 roots of its form's polynomial in t.  When they do not certify,
+    each degree is eliminated on its own (``coh_dim``).
+    """
+    _check_max_degree(max_k)
+    walls = {pair.form(p, q).canonical for p, q in pair.oriented_edges()}
+    t = 2
+    while any(sum(c * t**i for i, c in enumerate(w)) == 0 for w in walls):
+        t += 1
+    dims = _flow_up_dims(pair, orient(pair, [t**i for i in range(pair.n)]), max_k)
+    return dims if dims is not None else [coh_dim(pair, k) for k in range(max_k + 1)]
+
+
+def _filtered_gains(pair: GkmPair, k: int, order: Sequence[str]) -> tuple[int, list[int]]:
+    """Degree-k dimension by row rank, and each step's gain by column blocks added in order."""
+    rows, mons = compatibility_rows(pair, k)
+    M = len(mons)
+    ncols = len(pair.vertices) * M
+    lhs = ncols - linalg.rank(rows, ncols)
+    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for ri, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][ri] = x
+    vindex = {v: i for i, v in enumerate(pair.vertices)}
+    tracker = linalg.RankTracker(len(rows))
+    gains = []
+    prev_dim = 0
+    for cols, v in enumerate(order, start=1):
+        off = vindex[v] * M
+        tracker.extend(columns[off:off + M])
+        dim_here = cols * M - tracker.rank
+        gains.append(dim_here - prev_dim)
+        prev_dim = dim_here
+    if prev_dim != lhs:
+        raise ArithmeticError("filtered dimension at the bottom level disagrees with the row rank")
+    return lhs, gains
+
+
 def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     """Dimension bounds per degree, globally and one filtration step at a time.
 
-    For each k the class-space dimension, the column count minus the row
-    rank of the compatibility system, is compared against the
-    sigma-histogram bound.  The filtered dimensions (classes vanishing
-    below a level) come from adding vertex column blocks to the
-    compatibility system in descending level order while tracking the
-    rank; each one-vertex step is bounded above by the count of monomials
-    in the complementary degree and below by the matching graded piece of
-    the omit-one-factor ideal of the parallel classes.  At the bottom
-    level the filtered dimension must equal the row-rank dimension.
+    For each k the class-space dimension is compared against the
+    sigma-histogram bound, and each one-vertex step of the filtration by
+    descending level (classes vanishing below a level) is bounded above by
+    the count of monomials in the complementary degree and below by the
+    matching graded piece of the omit-one-factor ideal of the parallel
+    classes.  When flow-up classes exist along xi (``_flow_up_dims``),
+    the dimensions equal the bound and every step gains its upper bound,
+    exactly.  Otherwise each degree is eliminated: the dimension is the
+    column count minus the row rank of the compatibility system, the
+    steps add vertex column blocks in descending level order while
+    tracking the rank, and the bottom level must equal the row-rank
+    dimension.
     """
     _check_max_degree(max_k)
     o = orient(pair, xi)
@@ -501,36 +596,22 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
         return ideal_hilbert(class_covs, 2, m)[0]
 
     order = sorted(pair.vertices, key=lambda v: phi[v], reverse=True)
-    vindex = {v: i for i, v in enumerate(pair.vertices)}
+    dims = _flow_up_dims(pair, o, max_k)
     morse_rows = []
     steps = []
     overall = True
     for k in range(max_k + 1):
-        rows, mons = compatibility_rows(pair, k)
-        M = len(mons)
-        nrows = len(rows)
-        ncols = len(pair.vertices) * M
-        lhs = ncols - linalg.rank(rows, ncols)
+        if dims is None:
+            lhs, gains = _filtered_gains(pair, k, order)
+        else:
+            lhs, gains = dims[k], [graded_dim(n, k - o.sigma[v]) for v in order]
         rhs = sum(beta[r] * graded_dim(n, k - r) for r in range(d + 1))
         ok_k = lhs <= rhs
         overall = overall and ok_k
         morse_rows.append(
             {"k": k, "lhs": lhs, "rhs": rhs, "ok": ok_k, "equality": lhs == rhs}
         )
-        columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-        for ri, row in enumerate(rows):
-            for c, x in row.items():
-                columns[c][ri] = x
-        tracker = linalg.RankTracker(nrows)
-        cols = 0
-        prev_dim = 0
-        for v in order:
-            off = vindex[v] * M
-            tracker.extend(columns[off:off + M])
-            cols += M
-            dim_here = cols - tracker.rank
-            gain = dim_here - prev_dim
-            prev_dim = dim_here
+        for v, gain in zip(order, gains):
             r = o.sigma[v]
             upper = graded_dim(n, k - r)
             lower = ideal_dim(k - r)
@@ -546,10 +627,6 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
                     "lower": lower,
                     "ok": ok_s,
                 }
-            )
-        if prev_dim != lhs:
-            raise ArithmeticError(
-                "filtered dimension at the bottom level disagrees with the row rank"
             )
     return {"betti": beta, "morse": morse_rows, "steps": steps, "ok": overall}
 
@@ -604,8 +681,7 @@ def betti_equality_report(pair: GkmPair, l: int, max_k: int) -> dict:
                     )
     beta = betti(pair, xi)
     table = []
-    for k in range(max_k + 1):
-        lhs = coh_dim(pair, k)
+    for k, lhs in enumerate(class_dims(pair, max_k)):
         rhs = sum(beta[r] * graded_dim(n, k - r) for r in range(d + 1))
         table.append({"k": k, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
     hypotheses_ok = not indep_failures and not min_failures

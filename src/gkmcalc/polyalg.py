@@ -600,7 +600,8 @@ class LinearForm:
     Two forms are parallel exactly when their canonical integer tuples agree,
     and ``covector == scale * canonical``; the scale is kept as the integer
     ``_g`` over the covector's denominator.  Built from a form, the
-    constructor returns that form.
+    constructor returns that form; built from a ``Covector``, it keeps
+    that covector.
     """
 
     __slots__ = ("covector", "canonical", "_g")
@@ -608,7 +609,8 @@ class LinearForm:
     def __new__(cls, covector: LinearForm | Covector | Iterable):
         if type(covector) is cls:
             return covector
-        covector = Covector(covector)
+        if type(covector) is not Covector:
+            covector = Covector(covector)
         if covector.is_zero():
             raise ValueError("linear form must be nonzero")
         self = object.__new__(cls)

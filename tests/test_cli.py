@@ -153,6 +153,31 @@ def test_cohdim_writes_basis_files(capsys, tmp_path, cp2_file):
     assert sample["degree"] == 1 and set(sample["values"]) == {"1", "2", "3"}
 
 
+def test_cohdim_basis_makes_its_directory_once(capsys, tmp_path, cp2_file, monkeypatch):
+    made = []
+    real = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    basis_dir = tmp_path / "basis"
+    code, doc = _run_json(capsys, "cohdim", cp2_file, "--max-degree", "3", "--basis", str(basis_dir))
+    assert code == 0 and doc == {"0": 1, "1": 3, "2": 6, "3": 9}
+    assert made == [basis_dir]
+
+
+def test_cohdim_of_the_eight_cycle_comes_from_elimination(capsys, tmp_path):
+    # the flow-up certificate declines this cycle, so every degree is eliminated
+    built = tmp_path / "cycle_built.json"
+    assert main(["cycle", "--count", "8", "--a1", "1,0", "--a2", "0,1", "--out", str(built)]) == 0
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(json.loads(built.read_text())["graph"]))
+    code, doc = _run_json(capsys, "cohdim", str(path), "--max-degree", "4")
+    assert code == 0 and doc == {"0": 1, "1": 8, "2": 16, "3": 24, "4": 32}
+
+
 def test_integrate_of_one_is_zero(capsys, cp2_file, one_file):
     code, doc = _run_json(capsys, "integrate", cp2_file, "--class", one_file)
     assert code == 0

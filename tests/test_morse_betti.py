@@ -12,7 +12,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from gkmcalc import (
     GkmPair,
+    blow_up,
     complete_graph,
+    cycle_2valent,
     Vector,
     betti,
     betti_equality_report,
@@ -24,11 +26,13 @@ from gkmcalc import (
     orient,
     positively_oriented_function,
 )
+from gkmcalc.cohomology import coh_dim, compatibility_rows
 from gkmcalc.morse_betti import (
     _axial_classes,
     _chamber_search,
     _chambers,
     _feasible,
+    class_dims,
     find_acyclic_xi,
     is_acyclic,
     wall_crossing_check,
@@ -1021,3 +1025,100 @@ def test_wall_crossing_counts_the_classes_that_change_sign(cp2, xi2, count):
     assert str(info.value) == (
         f"need sign vectors differing in exactly one class, got {count} differences"
     )
+
+
+# Every fixture of tests/conftest.py with the degree the flow-up certificate
+# is checked to: 7, except the larger Gr(3, 6) and Fl(5), checked to the
+# degrees test_known_answers.LARGER lists.
+CERTIFIED = [
+    ("k2", 7), ("k2n2", 7), ("cp2", 7), ("gamma4", 7), ("gamma5", 7), ("k5n3", 7),
+    ("k6n2", 7), ("cycle4", 7), ("blowup", 7), ("prod", 7), ("gr24", 7), ("gr25", 7),
+    ("fl3", 7), ("fl4", 7), ("gr36", 5), ("fl5", 4),
+]
+
+
+def _fixture_pair(request, name):
+    pair = request.getfixturevalue(name)
+    return pair[0] if name == "blowup" else pair
+
+
+def _refuse_elimination(monkeypatch):
+    def refuse(pair, k):
+        raise AssertionError("class_dims eliminated instead of certifying")
+
+    monkeypatch.setattr(morse_betti, "coh_dim", refuse)
+
+
+@pytest.mark.parametrize("name, max_k", CERTIFIED)
+def test_flow_up_dimensions_equal_elimination(request, monkeypatch, name, max_k):
+    pair = _fixture_pair(request, name)
+    expected = [coh_dim(pair, k) for k in range(max_k + 1)]
+    _refuse_elimination(monkeypatch)
+    assert class_dims(pair, max_k) == expected
+
+
+def _random_complete_graph(rng, count, n):
+    while True:
+        points = {tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(count)}
+        try:
+            return complete_graph(sorted(points))
+        except ValueError:  # coinciding points or parallel differences: draw again
+            continue
+
+
+@pytest.mark.parametrize("n, count, max_k", [(2, 4, 5), (2, 6, 5), (3, 5, 4), (4, 5, 3), (4, 6, 3)])
+def test_flow_up_dimensions_on_random_complete_graphs_and_blow_ups(monkeypatch, n, count, max_k):
+    rng = random.Random(20261020 + 10 * n + count)
+    _refuse_elimination(monkeypatch)
+    for _ in range(3):
+        pair = _random_complete_graph(rng, count, n)
+        blown = blow_up(pair, rng.choice(pair.vertices))[0]
+        for p in (pair, blown):
+            assert class_dims(p, max_k) == [coh_dim(p, k) for k in range(max_k + 1)]
+
+
+@pytest.mark.parametrize("name, max_k", [(name, min(max_k, 5)) for name, max_k in CERTIFIED[:-2]]
+                         + [("gr36", 3), ("fl5", 2)])
+def test_morse_inequalities_read_off_the_certificate_equal_the_eliminated_ones(
+    request, monkeypatch, name, max_k
+):
+    pair = _fixture_pair(request, name)
+    xi = find_acyclic_xi(pair)
+    assert morse_betti._flow_up_dims(pair, orient(pair, xi), max_k) is not None
+    certified = morse_inequalities(pair, xi, max_k)
+    monkeypatch.setattr(morse_betti, "_flow_up_dims", lambda pair, o, max_k: None)
+    assert morse_inequalities(pair, xi, max_k) == certified
+
+
+def _x_parallel_square():
+    edges = [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]
+    return GkmPair(2, ["1", "2", "3", "4"], edges, {e: (1, 0) for e in edges})
+
+
+def test_flow_up_certificate_declines_and_elimination_answers():
+    # the 8-cycle's second minimum has no degree-0 flow-up class
+    cycle = cycle_2valent(8, (1, 0), (0, 1))
+    assert morse_betti._flow_up_dims(cycle, orient(cycle, (1, 2)), 4) is None
+    assert class_dims(cycle, 4) == [1, 8, 16, 24, 32]
+    # every direction with a positive first coordinate orients the square 1 -> 2 -> 3 -> 4 -> 1
+    square = _x_parallel_square()
+    assert morse_betti._flow_up_dims(square, orient(square, (1, 2)), 3) is None
+    assert class_dims(square, 3) == [coh_dim(square, k) for k in range(4)] == [1, 5, 9, 13]
+
+
+def test_flow_up_certificate_declines_parallel_downward_forms():
+    # a diamond d < a, c < b with every edge along x: each vertex has its
+    # flow-up class, but the two forms below b are parallel, so x^2 need not
+    # divide a class's value at b and the closed form would give 3 in degree 1
+    edges = [("d", "a"), ("a", "b"), ("d", "c"), ("c", "b")]
+    pair = GkmPair(1, ["d", "a", "b", "c"], edges, {e: (1,) for e in edges})
+    assert morse_betti._flow_up_dims(pair, orient(pair, (1,)), 2) is None
+    assert class_dims(pair, 2) == [coh_dim(pair, k) for k in range(3)] == [1, 4, 4]
+
+
+def test_compatibility_rows_restricted_to_vertices(cp2):
+    assert compatibility_rows(cp2, 3, cp2.vertices) == compatibility_rows(cp2, 3)
+    # the classes vanishing off vertex 1: its value is divisible by both star forms
+    rows, mons = compatibility_rows(cp2, 3, ["1"])
+    assert len(rows) == 2 and all(max(row) < len(mons) for row in rows)
+    assert len(mons) - linalg.rank(rows, len(mons)) == graded_dim(2, 1)

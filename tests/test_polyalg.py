@@ -321,6 +321,22 @@ def test_constructors_return_an_argument_of_their_own_type():
     assert Covector(v) == Covector(v.coords)
 
 
+def test_a_form_keeps_a_covector_without_rebuilding_it(monkeypatch):
+    built = []
+    real = Covector.__new__
+
+    def counted(cls, coords):
+        built.append(coords)
+        return real(cls, coords)
+
+    monkeypatch.setattr(Covector, "__new__", staticmethod(counted))
+    c = Covector((2, -4))
+    assert built == [(2, -4)]
+    f = LinearForm(c)
+    assert f.covector is c and f.canonical == (1, -2) and built == [(2, -4)]
+    assert LinearForm([2, -4]) == f and built == [(2, -4), [2, -4]]
+
+
 def test_residue_takes_forms_and_covectors_alike():
     rng = random.Random(23)
     for _ in range(20):
