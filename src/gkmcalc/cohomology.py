@@ -199,13 +199,17 @@ def compatibility_rows(
     primitive canonical covector, j its pivot), so ranks and kernels are
     those of the normal form.  Given a vertex list, the rows are those of
     the classes vanishing off it: only edges meeting the list contribute,
-    and an end outside it contributes no entries.  A degree above
-    ``MAX_DEGREE`` raises ``InputError`` before any monomial is listed.
+    and an end outside it contributes no entries; a list naming a vertex
+    twice or a name that is not a vertex raises ``InputError``.  A degree
+    above ``MAX_DEGREE`` raises ``InputError`` before any monomial is listed.
     """
     _check_degree(k)
     mons = monomials(pair.n, k)
     M = len(mons)
-    offset = {v: i * M for i, v in enumerate(pair.vertices if vertices is None else vertices)}
+    order = pair.vertices if vertices is None else vertices
+    offset = {v: i * M for i, v in enumerate(order)}
+    if len(offset) != len(order) or not offset.keys() <= set(pair.vertices):
+        raise InputError("the vertex list must name distinct vertices of the pair")
     rows: list[dict[int, int]] = []
     tables: dict[tuple[int, ...], list[list[tuple]]] = {}
     for p, q in pair.edges:
@@ -231,14 +235,41 @@ def compatibility_rows(
 def coh_dim(pair: GkmPair, k: int) -> int:
     """Dimension of the degree-k piece: columns minus the compatibility rank.
 
-    This is the elimination route, one degree at a time.
+    This is the row-rank route, one degree at a time.
     ``morse_betti.class_dims`` reads every degree off flow-up classes when
-    they exist and falls back to this; it stays the oracle the certificate
-    is tested against.
+    they exist (checked by ``_vertex_gains``, an elimination of columns)
+    and falls back to this; it stays the independent oracle the
+    certificate and the filtered gains are tested against.
     """
     rows, mons = compatibility_rows(pair, k)
     ncols = len(pair.vertices) * len(mons)
     return ncols - linalg.rank(rows, ncols)
+
+
+def _vertex_gains(pair: GkmPair, k: int, vertices: Sequence[str] | None = None) -> list[int]:
+    """How much the degree-k classes vanishing off the first i vertices grow at each i.
+
+    The compatibility rows restricted to ``vertices`` (default
+    pair.vertices) are transposed once into sparse columns, and one
+    tracker takes the vertices' column blocks in list order.  The classes
+    on the first i vertices are the kernel of the first i blocks, of
+    dimension i * M minus their column rank, so vertex i gains M minus
+    the rank its block adds; the gains sum to the classes on the list.
+    """
+    rows, mons = compatibility_rows(pair, k, vertices)
+    M = len(mons)
+    count = len(pair.vertices if vertices is None else vertices)
+    columns: list[dict[int, int]] = [{} for _ in range(count * M)]
+    for ri, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][ri] = x
+    tracker = linalg.RankTracker(len(rows))
+    gains = []
+    for off in range(0, count * M, M):
+        before = tracker.rank
+        tracker.extend(columns[off:off + M])
+        gains.append(M - tracker.rank + before)
+    return gains
 
 
 def coh_basis(pair: GkmPair, k: int) -> tuple[int, list[CohClass]]:

@@ -13,12 +13,14 @@ gives the reduced echelon form, which is unique, so ``rref``,
 ``kernel_basis`` and ``invert`` are canonical whatever the feed order.  An
 input row is either a dense sequence of Fractions or ints, or a sparse
 mapping ``{column: value}`` that leaves out zeros; outputs are dense lists
-of Fractions.
+of Fractions.  A tracker exposes its rank and its reduced form, not its
+pivots: a caller that needs the rank each block of columns adds feeds the
+transposed columns in block order (``cohomology._vertex_gains``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -103,11 +105,6 @@ class RankTracker:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> Collection[int]:
-        """The basis rows' first nonzero columns, one per row."""
-        return self._rows.keys()
 
     def reduced(self) -> dict[int, dict[int, int]]:
         """Back-substitute to the reduced echelon form, keyed by ascending pivot."""

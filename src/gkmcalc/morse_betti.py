@@ -17,14 +17,13 @@ import graphlib
 import itertools
 import math
 import operator
-from collections import Counter
 from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .cohomology import coh_dim, compatibility_rows
+from .cohomology import _vertex_gains, coh_dim
 from .gkm_core import GkmPair, OrientedEdge, subgraph_gamma_h
 from .polyalg import (
     Covector,
@@ -488,12 +487,12 @@ def _flow_up_dims(pair: GkmPair, o: Orientation, max_k: int) -> list[int] | None
     when every p with sigma_p <= max_k has one, dim H^k is the sum over p
     of dim S^(k - sigma_p) for every k <= max_k.
 
-    Existence is checked with one elimination per sigma value s <= max_k:
-    the degree-s rows of the classes vanishing off the prefix that ends at
-    the last vertex with sigma = s, column blocks in prefix order.  A
-    stored row's pivot is its first nonzero column, so the classes on the
-    first i blocks have dimension i * M minus the pivots in those blocks,
-    and p has a flow-up class exactly when its block holds M - 1 pivots.
+    Existence is checked with one column elimination per sigma value
+    s <= max_k (``_vertex_gains``): the degree-s classes vanishing off the
+    prefix that ends at the last vertex with sigma = s, column blocks in
+    prefix order.  p has a flow-up class exactly when its block gains 1,
+    since a degree-sigma_p class vanishing after p is at p a constant
+    times the product of its downward forms.
     None means the certificate does not apply: a directed cycle, a vertex
     whose downward forms are parallel or do not number sigma, or a missing
     flow-up class.
@@ -507,17 +506,10 @@ def _flow_up_dims(pair: GkmPair, o: Orientation, max_k: int) -> list[int] | None
     sigma = o.sigma
     if any(len(forms) != sigma[v] or len(set(forms)) < len(forms) for v, forms in below.items()):
         return None
-    last = {sigma[v]: i for i, v in enumerate(order)}
+    last = {sigma[v]: i for i, v in enumerate(order, start=1) if sigma[v] <= max_k}
     for s, end in last.items():
-        if s > max_k:
-            continue
-        prefix = order[: end + 1]
-        rows, mons = compatibility_rows(pair, s, prefix)
-        M = len(mons)
-        tracker = linalg.RankTracker(len(prefix) * M)
-        tracker.extend(rows)
-        pivots = Counter(c // M for c in tracker.pivots)
-        if any(pivots[i] != M - 1 for i, v in enumerate(prefix) if sigma[v] == s):
+        gains = _vertex_gains(pair, s, order[:end])
+        if any(g != 1 for g, v in zip(gains, order) if sigma[v] == s):
             return None
     n = pair.n
     return [sum(graded_dim(n, k - sigma[v]) for v in order) for k in range(max_k + 1)]
@@ -540,31 +532,6 @@ def class_dims(pair: GkmPair, max_k: int) -> list[int]:
     return dims if dims is not None else [coh_dim(pair, k) for k in range(max_k + 1)]
 
 
-def _filtered_gains(pair: GkmPair, k: int, order: Sequence[str]) -> tuple[int, list[int]]:
-    """Degree-k dimension by row rank, and each step's gain by column blocks added in order."""
-    rows, mons = compatibility_rows(pair, k)
-    M = len(mons)
-    ncols = len(pair.vertices) * M
-    lhs = ncols - linalg.rank(rows, ncols)
-    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for ri, row in enumerate(rows):
-        for c, x in row.items():
-            columns[c][ri] = x
-    vindex = {v: i for i, v in enumerate(pair.vertices)}
-    tracker = linalg.RankTracker(len(rows))
-    gains = []
-    prev_dim = 0
-    for cols, v in enumerate(order, start=1):
-        off = vindex[v] * M
-        tracker.extend(columns[off:off + M])
-        dim_here = cols * M - tracker.rank
-        gains.append(dim_here - prev_dim)
-        prev_dim = dim_here
-    if prev_dim != lhs:
-        raise ArithmeticError("filtered dimension at the bottom level disagrees with the row rank")
-    return lhs, gains
-
-
 def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     """Dimension bounds per degree, globally and one filtration step at a time.
 
@@ -575,11 +542,10 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     matching graded piece of the omit-one-factor ideal of the parallel
     classes.  When flow-up classes exist along xi (``_flow_up_dims``),
     the dimensions equal the bound and every step gains its upper bound,
-    exactly.  Otherwise each degree is eliminated: the dimension is the
-    column count minus the row rank of the compatibility system, the
-    steps add vertex column blocks in descending level order while
-    tracking the rank, and the bottom level must equal the row-rank
-    dimension.
+    exactly.  Otherwise each degree is eliminated twice: the dimension is
+    the row-rank ``coh_dim``, the steps are the column-block gains of
+    ``_vertex_gains`` in descending level order, and the gains must sum
+    to that dimension at the bottom level.
     """
     _check_max_degree(max_k)
     o = orient(pair, xi)
@@ -602,7 +568,11 @@ def morse_inequalities(pair: GkmPair, xi, max_k: int) -> dict:
     overall = True
     for k in range(max_k + 1):
         if dims is None:
-            lhs, gains = _filtered_gains(pair, k, order)
+            lhs, gains = coh_dim(pair, k), _vertex_gains(pair, k, order)
+            if sum(gains) != lhs:
+                raise ArithmeticError(
+                    "filtered dimension at the bottom level disagrees with the row rank"
+                )
         else:
             lhs, gains = dims[k], [graded_dim(n, k - o.sigma[v]) for v in order]
         rhs = sum(beta[r] * graded_dim(n, k - r) for r in range(d + 1))

@@ -109,6 +109,19 @@ def cycle4():
 
 
 @pytest.fixture(scope="session")
+def cycle8():
+    # its second minimum along (1, 2) has no degree-0 flow-up class
+    return cycle_2valent(8, (1, 0), (0, 1))
+
+
+@pytest.fixture(scope="session")
+def parallel_diamond():
+    # d < a, c < b with every edge along x: the two forms below b are parallel
+    edges = [("d", "a"), ("a", "b"), ("d", "c"), ("c", "b")]
+    return GkmPair(1, ["d", "a", "b", "c"], edges, {e: (1,) for e in edges})
+
+
+@pytest.fixture(scope="session")
 def blowup(cp2):
     """The blow-up of cp2 at vertex '1' together with its blow-down map."""
     return blow_up(cp2, "1")

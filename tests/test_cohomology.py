@@ -1,6 +1,7 @@
 """Classes, bases, characteristic classes, and the blow-up ring audit."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from gkmcalc import coh_basis, chern_class, is_class, is_symplectic
 from gkmcalc.cohomology import (
     CohClass,
     _reduction_table,
+    _vertex_gains,
     as_class,
     blowup_class_check,
     coh_dim,
@@ -440,3 +442,37 @@ def test_class_guards_raise_their_messages(cp2, call, message):
 def test_an_integer_times_a_class_is_the_scaled_class():
     c = CohClass(1, _cp2_values(1, 1, 1))
     assert 3 * c == c.scaled(3)
+
+
+def test_compatibility_rows_refuse_unknown_or_repeated_vertices(cp2):
+    rows, mons = compatibility_rows(cp2, 2, ["1"])
+    assert len(mons) - linalg.rank(rows, len(mons)) == 1
+    for vertices in (["1", "1"], ["1", "zzz"], ["zzz"]):
+        with pytest.raises(InputError) as info:
+            compatibility_rows(cp2, 2, vertices)
+        assert str(info.value) == "the vertex list must name distinct vertices of the pair"
+
+
+def _reordered(vertices, how):
+    order = list(vertices)
+    if how == "reversed":
+        order.reverse()
+    elif how == "shuffled":
+        random.Random(len(order)).shuffle(order)
+    return order
+
+
+@pytest.mark.parametrize("how", ["input", "reversed", "shuffled"])
+def test_vertex_gains_add_up_to_each_prefix_by_row_rank(
+    family, k5n3, cycle8, parallel_diamond, how
+):
+    pairs = [pair for _, pair in family] + [k5n3, cycle8, parallel_diamond]
+    for pair in pairs:
+        order = _reordered(pair.vertices, how)
+        for k in range(4):
+            M = len(monomials(pair.n, k))
+            gains = _vertex_gains(pair, k, order)
+            assert how != "input" or _vertex_gains(pair, k) == gains
+            for i in range(len(order) + 1):
+                rows, _ = compatibility_rows(pair, k, order[:i])
+                assert sum(gains[:i]) == i * M - linalg.rank(rows, i * M)

@@ -14,7 +14,6 @@ from gkmcalc import (
     GkmPair,
     blow_up,
     complete_graph,
-    cycle_2valent,
     Vector,
     betti,
     betti_equality_report,
@@ -1095,25 +1094,41 @@ def _x_parallel_square():
     return GkmPair(2, ["1", "2", "3", "4"], edges, {e: (1, 0) for e in edges})
 
 
-def test_flow_up_certificate_declines_and_elimination_answers():
-    # the 8-cycle's second minimum has no degree-0 flow-up class
-    cycle = cycle_2valent(8, (1, 0), (0, 1))
-    assert morse_betti._flow_up_dims(cycle, orient(cycle, (1, 2)), 4) is None
-    assert class_dims(cycle, 4) == [1, 8, 16, 24, 32]
+def test_flow_up_certificate_declines_and_elimination_answers(cycle8):
+    assert morse_betti._flow_up_dims(cycle8, orient(cycle8, (1, 2)), 4) is None
+    assert class_dims(cycle8, 4) == [1, 8, 16, 24, 32]
     # every direction with a positive first coordinate orients the square 1 -> 2 -> 3 -> 4 -> 1
     square = _x_parallel_square()
     assert morse_betti._flow_up_dims(square, orient(square, (1, 2)), 3) is None
     assert class_dims(square, 3) == [coh_dim(square, k) for k in range(4)] == [1, 5, 9, 13]
 
 
-def test_flow_up_certificate_declines_parallel_downward_forms():
-    # a diamond d < a, c < b with every edge along x: each vertex has its
-    # flow-up class, but the two forms below b are parallel, so x^2 need not
-    # divide a class's value at b and the closed form would give 3 in degree 1
-    edges = [("d", "a"), ("a", "b"), ("d", "c"), ("c", "b")]
-    pair = GkmPair(1, ["d", "a", "b", "c"], edges, {e: (1,) for e in edges})
+def test_flow_up_certificate_declines_parallel_downward_forms(parallel_diamond):
+    # each vertex of the diamond has its flow-up class, but the two forms
+    # below b are parallel, so x^2 need not divide a class's value at b and
+    # the closed form would give 3 in degree 1
+    pair = parallel_diamond
     assert morse_betti._flow_up_dims(pair, orient(pair, (1,)), 2) is None
     assert class_dims(pair, 2) == [coh_dim(pair, k) for k in range(3)] == [1, 4, 4]
+
+
+def _step(out, k, vertex):
+    return next(s for s in out["steps"] if s["k"] == k and s["vertex"] == vertex)
+
+
+def test_morse_fallback_on_pairs_the_certificate_declines(cycle8, parallel_diamond):
+    # both decline without a patch, so the filtered gains come from elimination
+    out = morse_inequalities(cycle8, (1, 2), 4)
+    assert [r["lhs"] for r in out["morse"]] == [1, 8, 16, 24, 32]
+    assert [r["rhs"] for r in out["morse"]] == [2, 8, 16, 24, 32]
+    assert out["ok"] is True
+    # the second minimum gains nothing in degree 0, below its upper bound 1
+    assert (_step(out, 0, "5")["gain"], _step(out, 0, "5")["upper"]) == (0, 1)
+    out = morse_inequalities(parallel_diamond, (1,), 2)
+    assert out["ok"] is False
+    assert (out["morse"][1]["lhs"], out["morse"][1]["rhs"]) == (4, 3)
+    # b gains the class that is x at b and zero elsewhere, above its upper bound 0
+    assert (_step(out, 1, "b")["gain"], _step(out, 1, "b")["upper"]) == (1, 0)
 
 
 def test_compatibility_rows_restricted_to_vertices(cp2):
