@@ -39,9 +39,9 @@ from .polyalg import (
     spell,
 )
 
-# A chamber of the wall arrangement: its sign on each parallel class, and a
+# A chamber of the wall arrangement: its sign on each wall class, and a
 # rational direction inside it.
-Chamber = tuple[tuple[int, ...], list[Fraction]]
+Chamber = tuple[tuple[int, ...], Vector]
 
 
 @dataclass(frozen=True)
@@ -155,19 +155,13 @@ def betti(pair: GkmPair, xi) -> list[int]:
 
 
 def _axial_classes(pair: GkmPair) -> list[LinearForm]:
-    """Distinct parallel classes of the axial covectors, in first-seen order."""
+    """The walls: distinct parallel classes of both orientations' covectors, first seen first."""
     seen: dict[tuple, LinearForm] = {}
-    for p, q in pair.edges:
+    for p, q in pair.oriented_edges():
         form = pair.form(p, q)
         if form.canonical not in seen:
             seen[form.canonical] = form
     return list(seen.values())
-
-
-def _scaled(point: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The point times the lcm of its denominators, and that positive scale."""
-    scale = math.lcm(*(x.denominator for x in point))
-    return [x.numerator * (scale // x.denominator) for x in point], scale
 
 
 def _ratio_extremes(pairs: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
@@ -184,34 +178,34 @@ def _ratio_extremes(pairs: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequ
     return low, high
 
 
-def _between(lo: tuple[int, int] | None, hi: tuple[int, int] | None) -> Fraction | None:
+def _between(lo: tuple[int, int] | None, hi: tuple[int, int] | None) -> tuple[int, int] | None:
     """A value strictly above the bound lo and below hi, or None if lo >= hi.
 
-    Each bound is a pair (p, q), q > 0, standing for p / q, or None when
-    there is none.  The value is the midpoint, one past the only bound,
-    or 1 without bounds.
+    Each bound, and the value, is a pair (p, q), q > 0, standing for p / q;
+    a missing bound is None.  The value is the midpoint, one past the only
+    bound, or 1 without bounds.
     """
     if lo and hi:
         if lo[0] * hi[1] >= hi[0] * lo[1]:
             return None
-        return Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+        return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     if lo:
-        return Fraction(lo[0] + lo[1], lo[1])
+        return lo[0] + lo[1], lo[1]
     if hi:
-        return Fraction(hi[0] - hi[1], hi[1])
-    return Fraction(1)
+        return hi[0] - hi[1], hi[1]
+    return 1, 1
 
 
 def _last_coordinate(
-    lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]], point: Sequence[Fraction]
-) -> Fraction | None:
+    lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]], point: Vector
+) -> tuple[int, int] | None:
     """A last coordinate strictly between the bounds at point, or None if max(lo) >= min(hi).
 
     Row r bounds the last coordinate by -(r . point) / r[-1]: from below on
-    lower rows (r[-1] > 0), from above on upper rows.  Bounds are compared
-    as integer pairs over the point's common denominator.
+    lower rows (r[-1] > 0), from above on upper rows.  Bounds, over the
+    point's denominator, and the coordinate are ``_between``'s integer pairs.
     """
-    ip, scale = _scaled(point)
+    ip, scale = point._num, point._den
     m = len(ip)
     lo = hi = None
     if lower:
@@ -223,8 +217,8 @@ def _last_coordinate(
     return _between(lo, hi)
 
 
-def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
-    """Rational witness for the strict system row . x > 0 over integer rows, or None.
+def _feasible(rows: Collection[Sequence[int]], n: int) -> Vector | None:
+    """A ``Vector`` witness for the strict system row . x > 0 over integer rows, or None.
 
     The last variable is eliminated by combining rows of opposite sign
     there, each combination divided by the gcd of its entries into a set,
@@ -258,12 +252,12 @@ def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
                 hi = (x * u[0], -u[1]) if upper else None
                 last = _between(lo, hi)
                 if last is not None:
-                    return [Fraction(x), last]
+                    return Vector._raw((x * last[1], last[0]), last[1])
         return None
     if any(not any(r) for r in rows):
         return None
     if n == 0:
-        return []
+        return Vector._raw(())
     m = n - 1
     lower = [r for r in rows if r[m] > 0]
     upper = [r for r in rows if r[m] < 0]
@@ -294,7 +288,8 @@ def _feasible(rows: Collection[Sequence[int]], n: int) -> list[Fraction] | None:
     last = _last_coordinate(lower, upper, point)
     if last is None:
         raise ArithmeticError("feasibility witness collapsed")
-    return point + [last]
+    p, q = last
+    return Vector._raw(tuple([a * q for a in point._num]) + (p * point._den,), point._den * q)
 
 
 def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
@@ -306,29 +301,28 @@ def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
     is dropped with all its extensions.  Below the last class, a child
     keeps its parent's witness when that is strictly positive on the new
     row; a full-length sign vector's witness is always the feasibility
-    witness of its whole system.  Each new witness is carried with its
-    integer scaling by the positive lcm of its denominators, so the reuse
-    test and the leaf self-check are integer dot products of the same sign.
+    witness of its whole system.  A witness's denominator is positive, so
+    the reuse test and the leaf self-check are integer dot products with
+    its numerators, of the same sign.
     """
     signed = [(tuple(-c for c in cls.canonical), cls.canonical) for cls in classes]
 
-    def extend(signs: tuple[int, ...], rows: list, witness: list[Fraction], iw: list[int]):
+    def extend(signs: tuple[int, ...], rows: list, witness: Vector):
         depth = len(signs)
         if depth == len(classes):
             for row in rows:
-                if sum(map(operator.mul, row, iw)) <= 0:
+                if sum(map(operator.mul, row, witness._num)) <= 0:
                     raise ArithmeticError("feasibility witness fails its own system")
             yield signs, witness
             return
         for s, row in zip((-1, 1), signed[depth]):
             grown = rows + [row]
-            reuse = depth + 1 < len(classes) and sum(map(operator.mul, row, iw)) > 0
+            reuse = depth + 1 < len(classes) and sum(map(operator.mul, row, witness._num)) > 0
             w = witness if reuse else _feasible(grown, n)
             if w is not None:
-                yield from extend(signs + (s,), grown, w, iw if reuse else _scaled(w)[0])
+                yield from extend(signs + (s,), grown, w)
 
-    root = _feasible([], n)
-    yield from extend((), [], root, _scaled(root)[0])
+    yield from extend((), [], _feasible([], n))
 
 
 def _chambers(classes: Sequence[LinearForm], n: int) -> tuple[list[Chamber], str]:
@@ -339,10 +333,10 @@ def _chambers(classes: Sequence[LinearForm], n: int) -> tuple[list[Chamber], str
 def betti_invariance_check(pair: GkmPair) -> dict:
     """Betti histograms across every chamber of the wall arrangement.
 
-    Chambers are keyed by the sign vector of the parallel classes of the
-    axial covectors.  For each chamber the histogram is computed twice,
-    from the witness direction and from the sign vector alone, and all
-    chambers must agree on it.
+    Chambers are keyed by the sign vector of the walls (``_axial_classes``,
+    both orientations of every edge).  For each chamber the histogram is
+    computed twice, from the witness ``Vector`` and from the sign vector
+    alone, and all chambers must agree on it.
     """
     classes = _axial_classes(pair)
     chambers, method = _chambers(classes, pair.n)
@@ -524,9 +518,9 @@ def class_dims(pair: GkmPair, max_k: int) -> list[int]:
     each degree is eliminated on its own (``coh_dim``).
     """
     _check_max_degree(max_k)
-    walls = {pair.form(p, q).canonical for p, q in pair.oriented_edges()}
+    walls = _axial_classes(pair)
     t = 2
-    while any(sum(c * t**i for i, c in enumerate(w)) == 0 for w in walls):
+    while any(sum(c * t**i for i, c in enumerate(w.canonical)) == 0 for w in walls):
         t += 1
     dims = _flow_up_dims(pair, orient(pair, [t**i for i in range(pair.n)]), max_k)
     return dims if dims is not None else [coh_dim(pair, k) for k in range(max_k + 1)]

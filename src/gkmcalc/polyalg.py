@@ -802,8 +802,10 @@ def project_along(f: Polynomial, form: LinearForm, xi: Vector) -> Polynomial:
 
     Every generator beta goes to beta - (beta(xi)/form(xi)) * form, which is
     the identification of the form's kernel functions with functions on the
-    annihilator of xi.  Requires form(xi) != 0.
+    annihilator of xi.  Requires form(xi) != 0 and one dimension for all three.
     """
+    if f.n != xi.n or form.n != xi.n:
+        raise InputError("dimension mismatch")
     return _project(f, _expansion(f, xi), form, xi)
 
 
@@ -834,8 +836,11 @@ def project_covector(beta: Covector, form: LinearForm, xi: Vector) -> Covector:
     """beta - (beta(xi)/form(xi)) * form, the projected form beta# along the form.
 
     On numerators b of beta, a of the form and u of xi, with s = a.u and
-    t = b.u, it is (s*b - t*a) over den(beta) * s.  Requires form(xi) != 0.
+    t = b.u, it is (s*b - t*a) over den(beta) * s.  Requires form(xi) != 0
+    and one dimension for all three.
     """
+    if beta.n != xi.n or form.n != xi.n:
+        raise InputError("dimension mismatch")
     a, b, u = form.covector._num, beta._num, xi._num
     s, t = sum(map(operator.mul, a, u)), sum(map(operator.mul, b, u))
     if s == 0:

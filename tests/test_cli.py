@@ -537,6 +537,26 @@ def test_unusable_input_exits_2_with_a_message(capsys, tmp_path, cp2_file, argv)
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("reverse", [["0", "1"], ["1", "1"]])
+def test_a_reverse_covector_off_the_forward_one_is_a_wall_of_its_own(capsys, tmp_path, reverse):
+    # the walls (1, 0) and the reverse split the plane into four chambers with different
+    # histograms, and xi from the first acyclic one gives levels that break the reverse
+    graph = _file(tmp_path / "g.json", {"n": 2, "vertices": ["a", "b"], "edges": [
+        {"ends": ["a", "b"], "alpha": ["1", "0"]}, {"ends": ["b", "a"], "alpha": reverse}]})
+    code = main(["betti", graph])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.out) == {
+        "betti": [0, 2], "chambers_found": 4, "invariant": False, "method": "exhaustive"
+    }
+    one = _file(tmp_path / "one.json", _degree0_class(["a", "b"], 2))
+    for argv in (["morse", graph, "--max-degree", "2"], ["jk", graph, "--class", one, "--sweep"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert captured.err.startswith("violation: ") and "Traceback" not in captured.err, argv
+
+
 def test_collinear_points_are_a_violation(capsys):
     code = main(["complete", "--alphas", "0,0;1,0;2,0"])
     captured = capsys.readouterr()

@@ -223,6 +223,20 @@ def test_project_covector_matches_the_fraction_oracle():
         project_covector(Covector((0, 1)), form, Vector((4, 3)))
 
 
+@pytest.mark.parametrize("project,first", [
+    (project_covector, lambda n: Covector((1,) + (0,) * (n - 1))),
+    (project_along, lambda n: Polynomial.variable(n, n - 1)),
+], ids=["covector", "polynomial"])
+def test_projections_refuse_arguments_of_different_dimensions(project, first):
+    # zip over coordinates of different lengths would truncate to a wrong answer
+    with pytest.raises(InputError, match="dimension mismatch"):
+        project(first(3), LinearForm((1, 1)), Vector((1, 0)))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        project(first(2), LinearForm((1, 1, 1)), Vector((1, 0)))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        project(first(2), LinearForm((1, 1)), Vector((1, 0, 0)))
+
+
 def test_simplify_clears_a_removable_denominator():
     alpha = LinearForm(Covector((1, 0)))
     h = Polynomial(2, {(0, 1): 1, (0, 0): 2})
