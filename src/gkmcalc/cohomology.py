@@ -90,10 +90,7 @@ class CohClass:
     def __pow__(self, k: int) -> "CohClass":
         if k < 0:
             raise ValueError("negative power")
-        out = CohClass(0, {v: Polynomial.constant(f.n, 1) for v, f in self.values.items()})
-        for _ in range(k):
-            out = out * self
-        return out
+        return CohClass(self.degree * k, {v: f ** k for v, f in self.values.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,19 +243,19 @@ def coh_dim(pair: GkmPair, k: int) -> int:
     return ncols - linalg.rank(rows, ncols)
 
 
-def _vertex_gains(pair: GkmPair, k: int, vertices: Sequence[str] | None = None) -> list[int]:
+def _vertex_gains(pair: GkmPair, k: int, vertices: Sequence[str]) -> list[int]:
     """How much the degree-k classes vanishing off the first i vertices grow at each i.
 
-    The compatibility rows restricted to ``vertices`` (default
-    pair.vertices) are transposed once into sparse columns, and one
-    tracker takes the vertices' column blocks in list order.  The classes
-    on the first i vertices are the kernel of the first i blocks, of
-    dimension i * M minus their column rank, so vertex i gains M minus
-    the rank its block adds; the gains sum to the classes on the list.
+    The compatibility rows restricted to ``vertices`` are transposed once
+    into sparse columns, and one tracker takes the vertices' column blocks
+    in list order.  The classes on the first i vertices are the kernel of
+    the first i blocks, of dimension i * M minus their column rank, so
+    vertex i gains M minus the rank its block adds; the gains sum to the
+    classes on the list.
     """
     rows, mons = compatibility_rows(pair, k, vertices)
     M = len(mons)
-    count = len(pair.vertices if vertices is None else vertices)
+    count = len(vertices)
     columns: list[dict[int, int]] = [{} for _ in range(count * M)]
     for ri, row in enumerate(rows):
         for c, x in row.items():

@@ -87,22 +87,26 @@ def orient(pair: GkmPair, xi) -> Orientation:
 
 def _upward_order(
     orientation: Orientation,
-) -> tuple[dict[str, list[str]], list[str], list[str] | None]:
-    """Upward successors, every vertex after its successors, or a directed cycle.
+) -> tuple[dict[str, int], list[str], list[str] | None]:
+    """Longest upward path out of each vertex, the level order, or a directed cycle.
 
-    graphlib reads the successor lists as predecessor lists, so its
-    topological order puts each vertex after all of its successors.  On a
-    directed cycle the order is empty and the third entry lists the
-    cycle's distinct vertices along the edges; graphlib reports it against
-    that direction, with its first vertex repeated at the end.
+    The level order puts the shorter longest path first and, on ties, the
+    later input vertex first: descending ``positively_oriented_function``
+    levels, so every vertex comes after its upward successors.  On a
+    directed cycle the third entry lists the cycle's distinct vertices
+    along the edges; graphlib, which reads successors as predecessors,
+    reports it against that direction with its first vertex repeated.
     """
     succ: dict[str, list[str]] = {v: [] for v in orientation.vertices}
     for p, q in orientation.edges:
         succ[p].append(q)
+    longest: dict[str, int] = {}
     try:
-        return succ, list(graphlib.TopologicalSorter(succ).static_order()), None
+        for v in graphlib.TopologicalSorter(succ).static_order():
+            longest[v] = max((longest[w] + 1 for w in succ[v]), default=0)
     except graphlib.CycleError as err:
-        return succ, [], err.args[1][:0:-1]
+        return {}, [], err.args[1][:0:-1]
+    return longest, sorted(reversed(orientation.vertices), key=longest.__getitem__), None
 
 
 def is_acyclic(orientation: Orientation) -> tuple[bool, list[str] | None]:
@@ -122,12 +126,9 @@ def positively_oriented_function(pair: GkmPair, xi) -> dict[str, Fraction]:
     injectivity and the orientation inequality are rechecked exactly.
     """
     o = xi if isinstance(xi, Orientation) else orient(pair, xi)
-    succ, order, cycle = _upward_order(o)
+    longest, _, cycle = _upward_order(o)
     if cycle is not None:
         raise ValueError("orientation has a directed cycle: " + " -> ".join(cycle))
-    longest: dict[str, int] = {}
-    for v in order:
-        longest[v] = max((longest[w] + 1 for w in succ[v]), default=0)
     phi = {v: Fraction(-longest[v]) for v in o.vertices}
     groups: dict[int, list[str]] = {}
     for v in o.vertices:
@@ -470,16 +471,17 @@ def ideal_hilbert(forms: Sequence, l: int, m: int) -> tuple[int, int]:
 def _flow_up_dims(pair: GkmPair, o: Orientation, max_k: int) -> list[int] | None:
     """Class dimensions in degrees 0..max_k read off flow-up classes, or None.
 
-    List the vertices top first (``_upward_order``).  A class vanishing on
-    the vertices after p has at p a value that every downward form at p
-    divides; when those forms are pairwise non-parallel their product, of
-    degree sigma_p, divides it, so the classes on the first i vertices
-    exceed those on the first i - 1 by at most dim S^(k - sigma_p).  A
-    flow-up class of p has degree sigma_p, vanishes after p and has that
-    product as its value at p; the products of the flow-up classes with
-    S^(k - sigma_p) are independent, being triangular in that order.  So
-    when every p with sigma_p <= max_k has one, dim H^k is the sum over p
-    of dim S^(k - sigma_p) for every k <= max_k.
+    List the vertices top first in level order (``_upward_order``).  A
+    class vanishing on the vertices after p has at p a value that every
+    downward form at p divides; when those forms are pairwise
+    non-parallel their product, of degree sigma_p, divides it, so the
+    classes on the first i vertices exceed those on the first i - 1 by at
+    most dim S^(k - sigma_p).  A flow-up class of p has degree sigma_p,
+    vanishes after p and has that product as its value at p; the products
+    of the flow-up classes with S^(k - sigma_p) are independent, being
+    triangular in that order.  So when every p with sigma_p <= max_k has
+    one, dim H^k is the sum over p of dim S^(k - sigma_p) for every
+    k <= max_k.
 
     Existence is checked with one column elimination per sigma value
     s <= max_k (``_vertex_gains``): the degree-s classes vanishing off the

@@ -136,9 +136,10 @@ def test_malformed_graph_documents_exit_2_with_their_message(capsys, tmp_path, d
 
 
 def test_cohdim_table(capsys, cp2_file):
-    code, doc = _run_json(capsys, "cohdim", cp2_file, "--max-degree", "3")
+    # the README's dimensions; the edge form (1, -1) has a negative pivot coefficient
+    code, doc = _run_json(capsys, "cohdim", cp2_file, "--max-degree", "4")
     assert code == 0
-    assert doc == {"0": 1, "1": 3, "2": 6, "3": 9}
+    assert doc == {"0": 1, "1": 3, "2": 6, "3": 9, "4": 12}
 
 
 def test_cohdim_writes_basis_files(capsys, tmp_path, cp2_file):
@@ -459,17 +460,21 @@ def _file(path, content):
     return str(path)
 
 
-# Each case builds argv from a temporary directory and the cp2 graph file.
+# Each case builds argv from a temporary directory and the cp2 graph file, and
+# names a part of the message it exits with.
 BAD_INPUTS = [
     pytest.param(
         lambda tmp, g: ["cycle", "--count", "4", "--a1", "1,0", "--a2", "1,0,0"],
+        "axial covectors must share one ambient dimension",
         id="cycle-mixed-dimensions",
     ),
     pytest.param(
-        lambda tmp, g: ["complete", "--alphas", "0,0;1,0;1,0"], id="complete-coinciding-points"
+        lambda tmp, g: ["complete", "--alphas", "0,0;1,0;1,0"], "points 2 and 3 coincide",
+        id="complete-coinciding-points",
     ),
     pytest.param(
-        lambda tmp, g: ["complete", "--alphas", "0,0;1,0,0"], id="complete-mixed-dimensions"
+        lambda tmp, g: ["complete", "--alphas", "0,0;1,0,0"],
+        "all points must share one ambient dimension", id="complete-mixed-dimensions",
     ),
     pytest.param(
         lambda tmp, g: [
@@ -477,18 +482,21 @@ BAD_INPUTS = [
             g,
             _file(tmp / "seg3.json", complete_graph([(0, 0, 0), (1, 0, 0)]).to_json()),
         ],
+        "factors must share one ambient dimension",
         id="product-mixed-dimensions",
     ),
     pytest.param(
         lambda tmp, g: [
             "integrate", g, "--class", _file(tmp / "c.json", _degree0_class("12", 2))
         ],
+        "class has no value at vertex '3'",
         id="class-missing-a-vertex",
     ),
     pytest.param(
         lambda tmp, g: [
             "integrate", g, "--class", _file(tmp / "c.json", _degree0_class("123", 3))
         ],
+        "value at '1' is not a polynomial in the ambient ring",
         id="class-in-the-wrong-ring",
     ),
     pytest.param(
@@ -496,6 +504,7 @@ BAD_INPUTS = [
             "jk", g, "--class", _file(tmp / "c.json", {**_degree0_class("123", 2), "degree": 0.0}),
             "--xi", "1,2", "--c=-1/2",
         ],
+        "is not a class file: class 'degree' must be an integer",
         id="class-degree-not-an-integer",
     ),
     pytest.param(
@@ -508,33 +517,37 @@ BAD_INPUTS = [
             "--xi",
             "1,1",
         ],
+        "is not a polynomial file: bad rational '1/0'",
         id="zero-denominator-coefficient",
     ),
     pytest.param(
         lambda tmp, g: ["validate", g, "--out", str(tmp / "missing" / "x.json")],
+        "No such file or directory",
         id="out-in-a-missing-directory",
     ),
     pytest.param(
         lambda tmp, g: [
             "cohdim", g, "--max-degree", "1", "--basis", str(Path(_file(tmp / "f", {})) / "x")
         ],
+        "Not a directory",
         id="basis-under-a-file",
     ),
     pytest.param(
         lambda tmp, g: ["validate", _file(tmp / "bin.json", b"\xff\xfe")],
+        "is not valid JSON: 'utf-8' codec can't decode",
         id="graph-file-not-utf8",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS)
-def test_unusable_input_exits_2_with_a_message(capsys, tmp_path, cp2_file, argv):
+@pytest.mark.parametrize("argv, message", BAD_INPUTS)
+def test_unusable_input_exits_2_with_a_message(capsys, tmp_path, cp2_file, argv, message):
     code = main(argv(tmp_path, cp2_file))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("reverse", [["0", "1"], ["1", "1"]])
@@ -557,14 +570,16 @@ def test_a_reverse_covector_off_the_forward_one_is_a_wall_of_its_own(capsys, tmp
         assert captured.err.startswith("violation: ") and "Traceback" not in captured.err, argv
 
 
-def test_collinear_points_are_a_violation(capsys):
-    code = main(["complete", "--alphas", "0,0;1,0;2,0"])
+@pytest.mark.parametrize("alphas", ["0,0;1,0;2,0", "0,0;1,1;2,2"])
+def test_collinear_points_are_a_violation(capsys, alphas):
+    code = main(["complete", "--alphas", alphas])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == "" and captured.err.startswith("violation: ")
+    assert captured.out == ""
+    assert captured.err == "violation: differences at vertex 1 toward 2 and 3 are parallel\n"
 
 
-@pytest.mark.parametrize("exp", [[10**12, 0], [65536, 0], [40000, 30000]])
+@pytest.mark.parametrize("exp", [[10**12, 0], [65536, 0], [70000, 0], [40000, 30000]])
 def test_exponents_above_the_limit_exit_2(capsys, tmp_path, exp):
     poly = _file(tmp_path / "f.json", {"n": 2, "terms": [{"exp": exp, "coef": "1"}]})
     code = main(["residue", "--poly", poly, "--alpha", "1,0", "--xi", "1,1"])
@@ -600,6 +615,7 @@ def test_integers_past_the_digit_limit_exit_2(capsys, tmp_path, cp2_file, kind):
     assert code == 2
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and "digits" in captured.err
+    assert str(sys.get_int_max_str_digits()) in captured.err
 
 
 def _jsonable_oracle(obj):

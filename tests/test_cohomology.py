@@ -472,7 +472,7 @@ def test_vertex_gains_add_up_to_each_prefix_by_row_rank(
         for k in range(4):
             M = len(monomials(pair.n, k))
             gains = _vertex_gains(pair, k, order)
-            assert how != "input" or _vertex_gains(pair, k) == gains
+            assert how != "input" or _vertex_gains(pair, k, pair.vertices) == gains
             for i in range(len(order) + 1):
                 rows, _ = compatibility_rows(pair, k, order[:i])
                 assert sum(gains[:i]) == i * M - linalg.rank(rows, i * M)

@@ -231,7 +231,7 @@ def _pair_named(request, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k8", "k6n4"]
+    "name", ["k2", "cp2", "gamma4", "gamma5", "cycle4", "blowup", "prod", "k8", "k5n3", "k6n4"]
 )
 def test_chamber_count_equals_the_whitney_count(request, name):
     pair = _pair_named(request, name)
@@ -242,6 +242,8 @@ def test_chamber_count_equals_the_whitney_count(request, name):
         # 13 wall classes: past the size where enumeration used to fall back to sampling
         assert len(_axial_classes(pair)) == 13
         assert out["chambers_found"] == 26
+    if name == "k5n3":
+        assert out["chambers_found"] == 72
     if name == "k6n4":
         # K6 over (t, t^2, t^3, t^4): 15 wall classes in n = 4
         assert len(_axial_classes(pair)) == 15
@@ -1059,6 +1061,15 @@ def test_flow_up_dimensions_equal_elimination(request, monkeypatch, name, max_k)
     expected = [coh_dim(pair, k) for k in range(max_k + 1)]
     _refuse_elimination(monkeypatch)
     assert class_dims(pair, max_k) == expected
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CERTIFIED] + ["cycle8", "parallel_diamond"])
+def test_the_level_order_is_the_order_of_descending_levels(request, name):
+    # _flow_up_dims walks this order, and morse reports its steps in descending levels
+    pair = _fixture_pair(request, name)
+    o = orient(pair, find_acyclic_xi(pair))
+    phi = positively_oriented_function(pair, o)
+    assert morse_betti._upward_order(o)[1] == sorted(pair.vertices, key=phi.get, reverse=True)
 
 
 def _random_complete_graph(rng, count, n):
