@@ -205,6 +205,8 @@ def cycle_2valent(N: int, a1: Covector | Iterable, a2: Covector | Iterable) -> G
     Every two consecutive axial values, wraparound included, have the
     wedge a2 ^ a1, so the wedge condition holds by construction.
     """
+    if not isinstance(N, int) or isinstance(N, bool):
+        raise InputError(f"cycle length must be an int, not {N!r}")
     if N % 4 != 0 or N <= 0:
         raise ValueError("cycle length must be a positive multiple of 4")
     c1, c2 = Covector(a1), Covector(a2)

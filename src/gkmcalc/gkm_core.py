@@ -15,6 +15,7 @@ raise GraphFormatError at construction time.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .polyalg import (
     Vector,
     pair as pairing,
     parallel_pairs,
-    reduce_covector_mod_line,
     spell,
 )
 
@@ -157,7 +157,8 @@ class GkmPair:
                 ax[(q, p)] = -ax[(p, q)]
         self.axial: dict[OrientedEdge, Covector] = ax
         self._form_cache: dict[OrientedEdge, LinearForm] = {}
-        self._residue_cache: dict[tuple[str, tuple[int, ...]], dict[str, Covector]] = {}
+        self._numerators: dict[OrientedEdge, tuple[int, ...]] | None = None
+        self._residue_cache: dict[tuple[str, tuple[int, ...]], dict[str, tuple[int, ...]]] = {}
         self.connection = None if connection is None else _structural_connection(self, connection)
 
     # --- structure ------------------------------------------------------
@@ -201,6 +202,16 @@ class GkmPair:
     def star_forms(self, p: str) -> list[tuple[str, LinearForm]]:
         return [(q, self.form(p, q)) for q in self.neighbors(p)]
 
+    def _integer_axial(self) -> dict[OrientedEdge, tuple[int, ...]]:
+        """Axial numerators over the lcm of all axial denominators, by oriented edge."""
+        if self._numerators is None:
+            den = math.lcm(*(cov._den for cov in self.axial.values()))
+            self._numerators = {
+                e: cov._num if cov._den == den else tuple(a * (den // cov._den) for a in cov._num)
+                for e, cov in self.axial.items()
+            }
+        return self._numerators
+
     def __eq__(self, other) -> bool:
         """Equality as labeled data: orderings of vertices and edges are ignored."""
         if not isinstance(other, GkmPair):
@@ -221,11 +232,11 @@ class GkmPair:
         edges_json = []
         record = {}  # connection indices name positions in the 'edges' array
         for p, q in self.edges:
-            record[frozenset((p, q))] = len(edges_json)
+            record[(p, q)] = record[(q, p)] = len(edges_json)
             forward = self.axial[(p, q)]
             edges_json.append({"ends": [p, q], "alpha": [spell(a, forward._den) for a in forward._num]})
             backward = self.axial[(q, p)]
-            if backward != -forward:
+            if not _negatives(forward, backward):
                 alpha = [spell(a, backward._den) for a in backward._num]
                 edges_json.append({"ends": [q, p], "alpha": alpha})
         out: dict = {"n": self.n, "vertices": list(self.vertices), "edges": edges_json}
@@ -235,7 +246,7 @@ class GkmPair:
                 m = self.connection[(p, q)]
                 inner: dict[str, int] = {}
                 for r in self.neighbors(p):
-                    inner[str(record[frozenset((p, r))])] = record[frozenset((q, m[r]))]
+                    inner[str(record[(p, r)])] = record[(q, m[r])]
                 conn_json[f"{p}->{q}"] = inner
             out["connection"] = conn_json
         return out
@@ -292,7 +303,8 @@ class GkmPair:
             if not isinstance(raw_conn, Mapping):
                 raise GraphFormatError("'connection' must be an object")
             # JSON edge indices refer to positions in the 'edges' array
-            index_ends = [(p, q) for p, q, _ in records]
+            far_ends = [{a: b, b: a} for a, b, _ in records]
+            spelled = {str(i): i for i in range(len(records))}
             maps: Connection = {}
             for key, inner in raw_conn.items():
                 parts = key.split("->")
@@ -303,28 +315,28 @@ class GkmPair:
                     raise GraphFormatError(f"connection[{key!r}] must be an object")
                 m: dict[str, str] = {}
                 for k, v in inner.items():
-                    try:
-                        ki = int(k)
-                    except ValueError:
-                        raise GraphFormatError(
-                            f"connection[{key!r}] key {k!r} is not an edge index"
-                        ) from None
+                    ki = spelled.get(k)
+                    if ki is None:
+                        try:
+                            ki = int(k)
+                        except ValueError:
+                            raise GraphFormatError(
+                                f"connection[{key!r}] key {k!r} is not an edge index"
+                            ) from None
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise GraphFormatError(f"connection[{key!r}][{k!r}] must be an edge index")
-                    if not 0 <= ki < len(index_ends) or not 0 <= v < len(index_ends):
+                    if not 0 <= ki < len(records) or not 0 <= v < len(records):
                         raise GraphFormatError(f"connection[{key!r}] has an edge index out of range")
-                    src = index_ends[ki]
-                    dst = index_ends[v]
-                    if p not in src:
+                    r = far_ends[ki].get(p)
+                    if r is None:
                         raise GraphFormatError(
                             f"connection[{key!r}]: edge {ki} is not incident to {p!r}"
                         )
-                    if q not in dst:
+                    s = far_ends[v].get(q)
+                    if s is None:
                         raise GraphFormatError(
                             f"connection[{key!r}]: edge {v} is not incident to {q!r}"
                         )
-                    r = src[0] if src[1] == p else src[1]
-                    s = dst[0] if dst[1] == q else dst[1]
                     if r in m:
                         raise GraphFormatError(f"connection[{key!r}] maps edge {ki} twice")
                     m[r] = s
@@ -334,8 +346,15 @@ class GkmPair:
         return cls(n, vertices, edge_list, axial, conn)
 
 
+def _negatives(a: Covector, b: Covector) -> bool:
+    """Whether b == -a, read off the numerators in lowest terms."""
+    return a._den == b._den and all(x == -y for x, y in zip(a._num, b._num))
+
+
 def _structural_connection(pair: GkmPair, maps) -> Connection:
     """Check that a connection is a total family of star bijections; return a copy."""
+    if not isinstance(maps, Mapping):
+        raise GraphFormatError("a connection must be a mapping over oriented edges")
     oriented = set(pair.oriented_edges())
     if set(maps) != oriented:
         missing = sorted(oriented - set(maps))
@@ -345,6 +364,8 @@ def _structural_connection(pair: GkmPair, maps) -> Connection:
         )
     out: Connection = {}
     for (p, q), m in maps.items():
+        if not isinstance(m, Mapping):
+            raise GraphFormatError(f"connection along {p}->{q} must be a mapping")
         dom = set(m)
         cod = set(m.values())
         if dom != set(pair.neighbors(p)) or len(cod) != len(m) or cod != set(pair.neighbors(q)):
@@ -358,18 +379,27 @@ def _structural_connection(pair: GkmPair, maps) -> Connection:
 # --- axiom validation ----------------------------------------------------
 
 
-def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> dict[str, Covector]:
-    """Star covectors at p reduced modulo the form's line, by neighbor.
+def _star_residues(pair: GkmPair, p: str, form: LinearForm) -> dict[str, tuple[int, ...]]:
+    """Star covectors at p modulo the form's line, as integer tuples, by neighbor.
 
-    Memoised on the pair per (p, line): the reduction reads only the form's
-    canonical covector, so both orientations of an edge share one table.
+    With B a star covector's numerators over the pair's common denominator
+    L, c the form's canonical covector and j its pivot, the residue is
+    c_j*B - B_j*c: L*c_j times the normal form modulo the line.  For one
+    line that is injective, so two residues agree exactly when their tuples
+    do.  Memoised on the pair per (p, line): both orientations of an edge
+    share one table.
     """
-    key = (p, form.canonical)
+    c = form.canonical
+    key = (p, c)
     got = pair._residue_cache.get(key)
     if got is None:
-        got = pair._residue_cache[key] = {
-            r: reduce_covector_mod_line(pair.axial_at(p, r), form) for r in pair.neighbors(p)
-        }
+        numerators, j = pair._integer_axial(), form.pivot()
+        cj = c[j]
+        got = pair._residue_cache[key] = {}
+        for r in pair.neighbors(p):
+            b = numerators[(p, r)]
+            bj = b[j]
+            got[r] = tuple(cj * x - bj * y for x, y in zip(b, c))
     return got
 
 
@@ -393,7 +423,7 @@ def validate_axial(pair: GkmPair) -> ValidationReport:
         violations.append(Violation("valence", {"degrees": degs}))
 
     for p, q in pair.edges:
-        if pair.axial_at(q, p) != -pair.axial_at(p, q):
+        if not _negatives(pair.axial[(p, q)], pair.axial[(q, p)]):
             violations.append(Violation("1.16", {"edge": [p, q]}))
 
     for p in pair.vertices:
@@ -429,7 +459,7 @@ def infer_connection(pair: GkmPair) -> Connection:
         left = _star_residues(pair, p, form)
         if len(set(left.values())) < len(left):
             raise AmbiguousConnection((p, q))
-        targets: dict[Covector, list[str]] = {}
+        targets: dict[tuple[int, ...], list[str]] = {}
         for s, w in _star_residues(pair, q, form).items():
             targets.setdefault(w, []).append(s)
         m: dict[str, str] = {}

@@ -24,8 +24,7 @@ numerators that returns quotient, remainder and lift.  Exact division
 (``divides_exactly``) is its quotient when the remainder vanishes, and
 the normal form modulo the form (``reduce_mod_line``) is its remainder.
 The compatibility rows of the class ring (``_reduction_table``) write
-that normal form in closed form per monomial, and linear arguments are
-reduced on covectors directly (``reduce_covector_mod_line``).
+that normal form in closed form per monomial.
 
 The residue of ``f / prod(alpha_i)`` along a direction ``xi`` is
 implemented twice, by a truncated geometric-series expansion and by a
@@ -762,19 +761,6 @@ def _reduction_table(form: LinearForm, k: int, mons: Sequence[Monomial]) -> list
         for key, x in powers[m[j]].items():
             by_key.setdefault(rest + key, []).append((mi, scale * x))
     return [by_key[key] for key in sorted(by_key, reverse=True)]
-
-
-def reduce_covector_mod_line(cov: Covector, form: LinearForm) -> Covector:
-    """``reduce_mod_line`` of a linear form, as a covector.
-
-    With c the canonical covector and j its pivot, coordinate i becomes
-    a_i - a_j * c_i / c_j, so coordinate j becomes 0.
-    """
-    if cov.n != form.n:
-        raise ValueError("ring dimension mismatch")
-    c, j = form.canonical, form.pivot()
-    cj, aj = c[j], cov._num[j]
-    return Covector._raw(tuple(cj * a - aj * ci for a, ci in zip(cov._num, c)), cov._den * cj)
 
 
 def divides_exactly(form: LinearForm, f: Polynomial) -> Polynomial | None:

@@ -1,4 +1,6 @@
-"""Shared fixtures: the standard family of small pairs, three Grassmannians and three flag varieties."""
+"""Shared fixtures: the standard family of small pairs, three Grassmannians,
+three flag varieties, and the covector normal form that star residues are
+checked against."""
 from __future__ import annotations
 
 import itertools
@@ -7,6 +9,7 @@ import pytest
 
 from gkmcalc import GkmPair, complete_graph, cycle_2valent, blow_up, product
 from gkmcalc.gkm_core import infer_connection, relabel
+from gkmcalc.polyalg import Covector
 
 
 def grassmannian(k: int, N: int) -> GkmPair:
@@ -179,3 +182,21 @@ def family(k2, cp2, gamma4, gamma5, cycle4, blowup, prod):
         ("blowup", blowup[0]),
         ("product", prod),
     ]
+
+
+def _reduce_covector_mod_line(cov, form):
+    """``reduce_mod_line`` of a linear form, as a covector, on Fractions.
+
+    With c the canonical covector and j its pivot, coordinate i becomes
+    a_i - a_j * c_i / c_j, so coordinate j becomes 0.
+    """
+    if cov.n != form.n:
+        raise ValueError("ring dimension mismatch")
+    c, j = form.canonical, form.pivot()
+    return Covector([a - cov[j] * ci / c[j] for a, ci in zip(cov, c)])
+
+
+@pytest.fixture(scope="session")
+def reduce_covector_mod_line():
+    """The oracle for star residues: each covector reduced on its own denominator."""
+    return _reduce_covector_mod_line

@@ -8,7 +8,9 @@ prints the first acyclic chamber's witness as `xi`.  Each ring case runs
 `cohdim`, `cohdim --basis` (hashed over the sorted file names and their
 bytes), `morse --xi` and `morse --xi --l n` up to a fixed degree.  The
 structure cases run `validate` (clean, violating and with a swapped
-connection), `blowup`, `product`, `complete` and `cycle`.  All
+connection), `blowup`, `product`, `complete` and `cycle`; the swapped
+`validate` and the `product` also run on the `complete` case's graph, whose
+axial values mix denominators.  All
 compare the sha256 of stdout with a recorded digest.  Any change to the
 JSON these commands print, down to the order of terms, the spelling of a
 rational, the witness chosen inside a chamber or the scaling of a basis
@@ -396,36 +398,48 @@ def _structure_runs(tmp_path, cp2, k5n3):
     broken["edges"].append({"ends": ["3", "4"], "alpha": ["1/2", "-7/3"]})
     broken["vertices"].append("4")
     broken.pop("connection")
-    # two targets of the 1->2 connection map exchanged
-    swapped = k5n3.to_json()
-    m = swapped["connection"]["1->2"]
-    a, b = sorted(m, key=int)[-2:]
-    m[a], m[b] = m[b], m[a]
+    def swapped(pair):
+        """The document with two targets of the 1->2 connection map exchanged."""
+        doc = pair.to_json()
+        m = doc["connection"]["1->2"]
+        a, b = sorted(m, key=int)[-2:]
+        m[a], m[b] = m[b], m[a]
+        return doc
+
+    # the graph of the "complete" case: axial denominators 1, 2, 3, 6, 7, ...
+    mixed = complete_graph([(0, 0), ("1/2", 0), (0, "-2/3"), (3, "5/7")])
+    mixed_file = write("mixed.json", mixed.to_json())
     seg = relabel(complete_graph([(0, 0), (1, 1)]), {"1": "a", "2": "b"})
+    seg_file = write("seg.json", seg.to_json())
     return {
         "validate": (["validate", cp2_file], 0),
         "validate-k5": (["validate", k5_file], 0),
         "validate-violating": (["validate", write("broken.json", broken)], 1),
-        "validate-swapped": (["validate", write("swapped.json", swapped)], 1),
+        "validate-swapped": (["validate", write("swapped.json", swapped(k5n3))], 1),
+        "validate-swapped-mixed": (["validate", write("mixed-swapped.json", swapped(mixed))], 1),
         "blowup": (["blowup", cp2_file, "--vertex", "1"], 0),
         "blowup-k5": (["blowup", k5_file, "--vertex", "3"], 0),
-        "product": (["product", cp2_file, write("seg.json", seg.to_json())], 0),
+        "product": (["product", cp2_file, seg_file], 0),
+        "product-mixed": (["product", mixed_file, seg_file], 0),
         "complete": (["complete", "--alphas", "0,0;1/2,0;0,-2/3;3,5/7"], 0),
         "cycle": (["cycle", "--count", "8", "--a1", "1,2", "--a2=-1/3,1"], 0),
     }
 
 
 # Recorded from the json.dumps(indent=2, sort_keys=True) writer, before the
-# one-walk writer.
+# one-walk writer; the two mixed-denominator cases from the residue checks on
+# Covectors, before the integer residue tables.
 STRUCTURE_DIGESTS = {
     "blowup": "4905a271576b044ec2519eece79c90efc5f8dc5eb6d2a1484371f1489e2d13f3",
     "blowup-k5": "22456463739affa91bc161726b5dcd62af7680dca4ada809572d084292e56a0f",
     "complete": "9876e0783e1dd6538055a1023f46d8260abeb4670b4c3c285be411a76824ea6f",
     "cycle": "84f66eb0ac671b6485197d102f0524da2e612308a197e0cfd77a9e915c16c0ec",
     "product": "fa571c156f8ff23f6f4e1964d9c3127450b9ed3b016542391d6a10a59805c659",
+    "product-mixed": "117a8fe63412a9d9221572d0df8a05b73537087e57ab071127438e706f7a544a",
     "validate": "a8723451ef7860591a0166c52fc32dd81cba80c446ba5452359d47e9edab9b6d",
     "validate-k5": "4c13ae71bf47e56a816df0fddccca7b4833da413e0c9ce665fe76ccd7d076e65",
     "validate-swapped": "d16cf09c7fbf7eb59f55aacfa16118c861ea68c2273598333576b72733840d50",
+    "validate-swapped-mixed": "7044516cb27b7842466079346fef1f72fa67380e98b077d183c34f6abdbba902",
     "validate-violating": "e537a9904182d0af7e5e727574e7db1a00252e7aed038c9b8f4cecc80f8382c7",
 }
 

@@ -1,6 +1,8 @@
 """The four builders and their structural invariants."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
@@ -250,6 +252,12 @@ def test_longer_cycles_validate():
 @pytest.mark.parametrize("N", [0, 3, 6, -4])
 def test_cycle_length_must_be_a_multiple_of_four(N):
     with pytest.raises(ValueError):
+        cycle_2valent(N, (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("N", ["8", 8.0, None, True])
+def test_cycle_length_must_be_an_int(N):
+    with pytest.raises(InputError, match=f"cycle length must be an int, not {re.escape(repr(N))}$"):
         cycle_2valent(N, (1, 0), (0, 1))
 
 

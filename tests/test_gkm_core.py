@@ -25,7 +25,7 @@ from gkmcalc.gkm_core import (
     subgraph_gamma_h,
     subpair,
 )
-from gkmcalc.polyalg import Covector, Polynomial, reduce_covector_mod_line, reduce_mod_line
+from gkmcalc.polyalg import Covector, Polynomial, reduce_mod_line
 
 
 def _axioms(report):
@@ -222,7 +222,17 @@ def test_totally_geodesic_detection(cp2):
     assert not bad and none is None
 
 
-# --- normal forms on covectors against the polynomial normal form -------------
+def test_a_connection_that_is_not_a_mapping_is_a_format_error(cp2):
+    with pytest.raises(GraphFormatError, match="^a connection must be a mapping over oriented edges$"):
+        validate_connection(cp2, None)
+    with pytest.raises(GraphFormatError, match="^a connection must be a mapping over oriented edges$"):
+        is_totally_geodesic(cp2, None, ["1", "2"], [("1", "2")])
+    listed = {**cp2.connection, ("1", "2"): ["2", "3"]}
+    with pytest.raises(GraphFormatError, match="^connection along 1->2 must be a mapping$"):
+        validate_connection(cp2, listed)
+
+
+# --- star residues against the polynomial normal form ---------------------------
 
 
 def _scaled_copy(pair, edge, q, both=True):
@@ -290,17 +300,18 @@ def test_axiom_checks_match_the_polynomial_normal_form(family, cp2, gamma4, cycl
         ("cp2-corrupt", cp2, [{**cp2.connection, ("1", "2"): {"2": "3", "3": "1"}}]),
     ]
     shipped = _axiom_outcomes(cases + broken)
-    # residue tables are memoised per pair, so the oracle pass needs fresh pairs
-    fresh = [(name, GkmPair.from_json(pair.to_json()), conns) for name, pair, conns in cases + broken]
     calls = []
 
-    def oracle(cov, form):
-        calls.append(form)
+    def normal_form(cov, form):
         f = reduce_mod_line(Polynomial.from_covector(cov), form)
         return Covector([f.coefficient(tuple(int(t == i) for t in range(f.n))) for i in range(f.n)])
 
-    monkeypatch.setattr(gkm_core, "reduce_covector_mod_line", oracle)
-    assert _axiom_outcomes(fresh) == shipped
+    def oracle(pair, p, form):
+        calls.append(form)
+        return {r: normal_form(pair.axial_at(p, r), form) for r in pair.neighbors(p)}
+
+    monkeypatch.setattr(gkm_core, "_star_residues", oracle)
+    assert _axiom_outcomes(cases + broken) == shipped
     assert calls
     # the comparison covers passing and failing checks and both exception types
     kinds = {o[0] if isinstance(o, tuple) else "ok" for _, _, o in shipped}
@@ -337,11 +348,11 @@ def _perfect_matching(adjacent: list[list[int]], nright: int) -> list[int] | Non
     return match_right
 
 
-def _residues(pair, v, form):
+def _residues(reduce_covector_mod_line, pair, v, form):
     return [reduce_covector_mod_line(pair.axial_at(v, r), form) for r in pair.neighbors(v)]
 
 
-def _matching_violations(pair):
+def _matching_violations(reduce_covector_mod_line, pair):
     """The 1.18 violations as the matcher finds them, in edge order."""
     degs = pair.degrees()
     out = []
@@ -349,7 +360,7 @@ def _matching_violations(pair):
         if degs[p] != degs[q]:
             continue
         form = pair.form(p, q)
-        left, right = _residues(pair, p, form), _residues(pair, q, form)
+        left, right = (_residues(reduce_covector_mod_line, pair, v, form) for v in (p, q))
         adjacent = [[j for j, w in enumerate(right) if w == v] for v in left]
         if _perfect_matching(adjacent, len(right)) is None:
             out.append({"axiom": "1.18", "witness": {"edge": [p, q]}})
@@ -357,7 +368,11 @@ def _matching_violations(pair):
 
 
 def _repeated_residue_pairs(seed, count):
-    """Small pairs with coordinates in -2..2, so star residues often repeat."""
+    """Small pairs with numerators in -2..2, so star residues often repeat.
+
+    Each covector's coordinates share a denominator drawn from 1..3, so most
+    pairs mix denominators and star residues are compared across them.
+    """
     rng = random.Random(seed)
     shapes = [
         (["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "4")]),
@@ -371,7 +386,8 @@ def _repeated_residue_pairs(seed, count):
 
         def cov():
             while True:
-                c = Covector([rng.randint(-2, 2) for _ in range(n)])
+                den = rng.choice((1, 1, 2, 3))
+                c = Covector([Fraction(rng.randint(-2, 2), den) for _ in range(n)])
                 if not c.is_zero():
                     return c
 
@@ -392,7 +408,7 @@ def _k4_with_star_residues(a_toward_3, a_toward_4, b_toward_3, b_toward_4):
     return GkmPair(2, ["1", "2", "3", "4"], edges, axial)
 
 
-def test_residue_multisets_agree_with_the_matching_oracle():
+def test_residue_multisets_agree_with_the_matching_oracle(reduce_covector_mod_line):
     # residues modulo x along 1-2: {0, 0, y} against {0, y, y}, then {0, y, y} on both sides
     unequal = _k4_with_star_residues((2, 0), (0, 1), (1, 1), (0, 1))
     equal = _k4_with_star_residues((2, 1), (0, 1), (1, 1), (0, 1))
@@ -400,35 +416,38 @@ def test_residue_multisets_agree_with_the_matching_oracle():
     for pair in [unequal, equal] + _repeated_residue_pairs(seed=18, count=300):
         report = validate_axial(pair).to_json()
         expected = [v for v in report["violations"] if v["axiom"] != "1.18"]
-        expected += _matching_violations(pair)
+        expected += _matching_violations(reduce_covector_mod_line, pair)
         assert report["violations"] == expected
         for p, q in pair.edges:
-            stars = [_residues(pair, v, pair.form(p, q)) for v in (p, q)]
+            stars = [_residues(reduce_covector_mod_line, pair, v, pair.form(p, q)) for v in (p, q)]
             if any(len(set(star)) < len(star) for star in stars) and len(stars[0]) == len(stars[1]):
                 flagged[{"axiom": "1.18", "witness": {"edge": [p, q]}} in expected] += 1
-    assert {"axiom": "1.18", "witness": {"edge": ["1", "2"]}} in _matching_violations(unequal)
-    assert {"axiom": "1.18", "witness": {"edge": ["1", "2"]}} not in _matching_violations(equal)
+    violation = {"axiom": "1.18", "witness": {"edge": ["1", "2"]}}
+    assert violation in _matching_violations(reduce_covector_mod_line, unequal)
+    assert violation not in _matching_violations(reduce_covector_mod_line, equal)
     # edges with repeated residues occur both with and without a matching
     assert flagged[False] > 0 and flagged[True] > 0
 
 
-def test_residue_reductions_are_shared_across_the_checks(monkeypatch):
+def test_residue_reductions_are_shared_across_the_checks():
     pair = GkmPair.from_json(complete_graph([(t, t * t, t ** 3) for t in range(1, 6)]).to_json())
-    calls = []
+    built = []
 
-    def counting(cov, form):
-        calls.append(form)
-        return reduce_covector_mod_line(cov, form)
+    class Tables(dict):
+        def __setitem__(self, key, table):
+            built.append((key, table))
+            super().__setitem__(key, table)
 
-    monkeypatch.setattr(gkm_core, "reduce_covector_mod_line", counting)
+    pair._residue_cache = Tables()
     assert validate_axial(pair).ok
     assert validate_connection(pair, pair.connection).ok
     try:
         infer_connection(pair)
     except AmbiguousConnection:
         pass
-    # one reduction per star covector at each end of each edge: 2 |E| d
-    assert len(calls) == 2 * len(pair.edges) * pair.valence == 80
+    # one table per end of each edge, one residue per star covector: 2 |E| d
+    assert len(built) == len({key for key, _ in built}) == 2 * len(pair.edges) == 20
+    assert sum(len(table) for _, table in built) == 2 * len(pair.edges) * pair.valence == 80
 
 
 def test_connection_errors_are_arithmetic_errors():
