@@ -304,7 +304,6 @@ class GkmPair:
                 raise GraphFormatError("'connection' must be an object")
             # JSON edge indices refer to positions in the 'edges' array
             far_ends = [{a: b, b: a} for a, b, _ in records]
-            spelled = {str(i): i for i in range(len(records))}
             maps: Connection = {}
             for key, inner in raw_conn.items():
                 parts = key.split("->")
@@ -315,14 +314,12 @@ class GkmPair:
                     raise GraphFormatError(f"connection[{key!r}] must be an object")
                 m: dict[str, str] = {}
                 for k, v in inner.items():
-                    ki = spelled.get(k)
-                    if ki is None:
-                        try:
-                            ki = int(k)
-                        except ValueError:
-                            raise GraphFormatError(
-                                f"connection[{key!r}] key {k!r} is not an edge index"
-                            ) from None
+                    try:
+                        ki = int(k)
+                    except ValueError:
+                        raise GraphFormatError(
+                            f"connection[{key!r}] key {k!r} is not an edge index"
+                        ) from None
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise GraphFormatError(f"connection[{key!r}][{k!r}] must be an edge index")
                     if not 0 <= ki < len(records) or not 0 <= v < len(records):
