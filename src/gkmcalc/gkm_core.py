@@ -303,7 +303,11 @@ class GkmPair:
             if not isinstance(raw_conn, Mapping):
                 raise GraphFormatError("'connection' must be an object")
             # JSON edge indices refer to positions in the 'edges' array
-            far_ends = [{a: b, b: a} for a, b, _ in records]
+            count = len(records)
+            far_ends: dict[str, dict[int, str]] = {}
+            for i, (a, b, _) in enumerate(records):
+                far_ends.setdefault(a, {})[i] = b
+                far_ends.setdefault(b, {})[i] = a
             maps: Connection = {}
             for key, inner in raw_conn.items():
                 parts = key.split("->")
@@ -312,6 +316,7 @@ class GkmPair:
                 p, q = parts
                 if not isinstance(inner, Mapping):
                     raise GraphFormatError(f"connection[{key!r}] must be an object")
+                at_p, at_q = far_ends.get(p, {}), far_ends.get(q, {})
                 m: dict[str, str] = {}
                 for k, v in inner.items():
                     try:
@@ -322,14 +327,14 @@ class GkmPair:
                         ) from None
                     if not isinstance(v, int) or isinstance(v, bool):
                         raise GraphFormatError(f"connection[{key!r}][{k!r}] must be an edge index")
-                    if not 0 <= ki < len(records) or not 0 <= v < len(records):
+                    if not 0 <= ki < count or not 0 <= v < count:
                         raise GraphFormatError(f"connection[{key!r}] has an edge index out of range")
-                    r = far_ends[ki].get(p)
+                    r = at_p.get(ki)
                     if r is None:
                         raise GraphFormatError(
                             f"connection[{key!r}]: edge {ki} is not incident to {p!r}"
                         )
-                    s = far_ends[v].get(q)
+                    s = at_q.get(v)
                     if s is None:
                         raise GraphFormatError(
                             f"connection[{key!r}]: edge {v} is not incident to {q!r}"
@@ -353,19 +358,19 @@ def _structural_connection(pair: GkmPair, maps) -> Connection:
     if not isinstance(maps, Mapping):
         raise GraphFormatError("a connection must be a mapping over oriented edges")
     oriented = set(pair.oriented_edges())
-    if set(maps) != oriented:
+    if maps.keys() != oriented:
         missing = sorted(oriented - set(maps))
         extra = sorted(set(maps) - oriented)
         raise GraphFormatError(
             f"connection must cover every oriented edge exactly (missing {missing}, extra {extra})"
         )
+    stars = {v: set(pair.neighbors(v)) for v in pair.vertices}
     out: Connection = {}
     for (p, q), m in maps.items():
         if not isinstance(m, Mapping):
             raise GraphFormatError(f"connection along {p}->{q} must be a mapping")
-        dom = set(m)
         cod = set(m.values())
-        if dom != set(pair.neighbors(p)) or len(cod) != len(m) or cod != set(pair.neighbors(q)):
+        if m.keys() != stars[p] or len(cod) != len(m) or cod != stars[q]:
             raise GraphFormatError(
                 f"connection along {p}->{q} is not a bijection between the stars"
             )

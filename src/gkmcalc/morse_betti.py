@@ -299,11 +299,13 @@ def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
     Depth-first over sign prefixes in class order, -1 before +1, so chambers
     come out in ascending sign-vector order; rows are +-1 times each class's
     primitive integer covector.  A prefix whose strict system is infeasible
-    is dropped with all its extensions.  Below the last class, a child
-    keeps its parent's witness when that is strictly positive on the new
-    row; a full-length sign vector's witness is always the feasibility
-    witness of its whole system.  A witness's denominator is positive, so
-    the reuse test and the leaf self-check are integer dot products with
+    is dropped with all its extensions.  At every depth, the last class
+    included, a child keeps its parent's witness when that is strictly
+    positive on the new row, so a chamber's witness is some point inside
+    it, not the elimination witness of its whole system (``find_acyclic_xi``
+    builds that one for the chamber it returns).  Every leaf rechecks its
+    witness against its whole system.  A witness's denominator is positive,
+    so the reuse test and the leaf self-check are integer dot products with
     its numerators, of the same sign.
     """
     signed = [(tuple(-c for c in cls.canonical), cls.canonical) for cls in classes]
@@ -311,19 +313,23 @@ def _chamber_search(classes: Sequence[LinearForm], n: int) -> Iterator[Chamber]:
     def extend(signs: tuple[int, ...], rows: list, witness: Vector):
         depth = len(signs)
         if depth == len(classes):
-            for row in rows:
-                if sum(map(operator.mul, row, witness._num)) <= 0:
-                    raise ArithmeticError("feasibility witness fails its own system")
+            _check_interior(rows, witness)
             yield signs, witness
             return
         for s, row in zip((-1, 1), signed[depth]):
             grown = rows + [row]
-            reuse = depth + 1 < len(classes) and sum(map(operator.mul, row, witness._num)) > 0
+            reuse = sum(map(operator.mul, row, witness._num)) > 0
             w = witness if reuse else _feasible(grown, n)
             if w is not None:
                 yield from extend(signs + (s,), grown, w)
 
     yield from extend((), [], _feasible([], n))
+
+
+def _check_interior(rows: Sequence[Sequence[int]], witness: Vector | None) -> None:
+    """Raise unless the witness is strictly positive on every row."""
+    if witness is None or any(sum(map(operator.mul, row, witness._num)) <= 0 for row in rows):
+        raise ArithmeticError("feasibility witness fails its own system")
 
 
 def _chambers(classes: Sequence[LinearForm], n: int) -> tuple[list[Chamber], str]:
@@ -336,23 +342,39 @@ def betti_invariance_check(pair: GkmPair) -> dict:
 
     Chambers are keyed by the sign vector of the walls (``_axial_classes``,
     both orientations of every edge).  For each chamber the histogram is
-    computed twice, from the witness ``Vector`` and from the sign vector
-    alone, and all chambers must agree on it.
+    computed twice, from the witness and from the sign vector alone, and
+    all chambers must agree on it.  The witness's count at a vertex is the
+    number of star incidences whose integer numerators (``_integer_axial``,
+    over one positive denominator) have a negative dot product with the
+    witness's numerators; a zero raises, as ``orient`` does.
     """
     classes = _axial_classes(pair)
     chambers, method = _chambers(classes, pair.n)
     cindex = {cls.canonical: i for i, cls in enumerate(classes)}
-    incidences: dict[str, list[tuple[int, int]]] = {v: [] for v in pair.vertices}
-    for p, q in pair.oriented_edges():
-        form = pair.form(p, q)
-        incidences[p].append((cindex[form.canonical], 1 if form.scale > 0 else -1))
+    numerators = pair._integer_axial()
+    stars = []
+    for v in pair.vertices:
+        star = []
+        for w in pair.neighbors(v):
+            form = pair.form(v, w)
+            star.append((w, numerators[(v, w)], cindex[form.canonical], form.scale > 0))
+        stars.append((v, star))
     d = pair.valence
     betas = []
     for signs, witness in chambers:
-        hist = betti(pair, witness)
+        xs = witness._num
+        hist = [0] * (d + 1)
         from_signs = [0] * (d + 1)
-        for v in pair.vertices:
-            from_signs[sum(1 for ci, s in incidences[v] if s * signs[ci] < 0)] += 1
+        for v, star in stars:
+            down = by_signs = 0
+            for w, b, ci, positive in star:
+                value = sum(map(operator.mul, b, xs))
+                if value == 0:
+                    raise ValueError(f"xi lies on a wall: alpha[{v}->{w}](xi) = 0")
+                down += value < 0
+                by_signs += (signs[ci] > 0) != positive
+            hist[down] += 1
+            from_signs[by_signs] += 1
         if hist != from_signs:
             raise ArithmeticError("witness histogram disagrees with its sign vector")
         betas.append(hist)
@@ -407,11 +429,20 @@ def wall_crossing_check(pair: GkmPair, xi, xi2) -> dict:
 
 
 def find_acyclic_xi(pair: GkmPair) -> Vector:
-    """First chamber direction, in sign-vector order, with an acyclic orientation."""
-    for _, witness in _chamber_search(_axial_classes(pair), pair.n):
-        o = orient(pair, witness)
-        if is_acyclic(o)[0]:
-            return o.xi
+    """First chamber, in sign-vector order, with an acyclic orientation; its elimination witness.
+
+    Acyclicity is a property of the chamber, so it is tested on whatever
+    point the search carries there.  The direction returned, the one
+    ``jk --sweep`` and ``morse`` print without ``--xi``, is ``_feasible``'s
+    witness of that chamber's whole signed system.
+    """
+    classes = _axial_classes(pair)
+    for signs, witness in _chamber_search(classes, pair.n):
+        if is_acyclic(orient(pair, witness))[0]:
+            rows = [tuple(s * c for c in cls.canonical) for s, cls in zip(signs, classes)]
+            xi = _feasible(rows, pair.n)
+            _check_interior(rows, xi)
+            return xi
     raise ValueError("no acyclic orientation found in any chamber")
 
 

@@ -205,12 +205,21 @@ def _whitney_count(classes, n):
     return total
 
 
+def _inside(classes, signs, witness):
+    """Whether the witness is strictly on the sign vector's side of every wall."""
+    return all(
+        s * sum(c * x for c, x in zip(cls.canonical, witness)) > 0 for s, cls in zip(signs, classes)
+    )
+
+
 def test_chamber_search_matches_the_exhaustive_oracle(family):
     for name, pair in family + [("cyclic triangle", _cyclic_triangle())]:
         classes = _axial_classes(pair)
         expected = _all_sign_vectors(classes, pair.n)
-        assert list(_chamber_search(classes, pair.n)) == expected, name
-        assert _chambers(classes, pair.n) == (expected, "exhaustive"), name
+        found = list(_chamber_search(classes, pair.n))
+        assert [signs for signs, _ in found] == [signs for signs, _ in expected], name
+        assert all(_inside(classes, signs, w) for signs, w in found), name
+        assert _chambers(classes, pair.n) == (found, "exhaustive"), name
         acyclic = [
             w for _, w in expected if is_acyclic(orient(pair, Vector(w)))[0]
         ]
@@ -478,20 +487,32 @@ def _fraction_feasible(rows: Sequence[Sequence[Fraction]], n: int) -> list[Fract
 
 
 def _fraction_chambers(classes, n):
-    """Pruned sign search with a Fraction feasibility check at every prefix."""
-    found = []
+    """The chamber search on Fraction witnesses: its chambers, and the prefixes it checks.
 
-    def extend(signs, rows):
-        if len(signs) == len(classes):
-            found.append((signs, _fraction_feasible(rows, n)))
+    At every depth a child keeps its parent's witness when that is strictly
+    positive on the new row; every other prefix is checked with a fresh
+    Fraction elimination.
+    """
+    found, checked = [], [[]]
+
+    def extend(signs, rows, witness):
+        depth = len(signs)
+        if depth == len(classes):
+            found.append((signs, witness))
             return
-        for s in (-1, 1):
-            grown = rows + [tuple(Fraction(s * c) for c in classes[len(signs)].canonical)]
-            if _fraction_feasible(grown, n) is not None:
-                extend(signs + (s,), grown)
+        canonical = classes[depth].canonical
+        for s, row in zip((-1, 1), (tuple(-c for c in canonical), canonical)):
+            grown = rows + [row]
+            if sum(c * x for c, x in zip(row, witness)) > 0:
+                extend(signs + (s,), grown, witness)
+                continue
+            checked.append(grown)
+            w = _fraction_feasible([tuple(map(Fraction, r)) for r in grown], n)
+            if w is not None:
+                extend(signs + (s,), grown, w)
 
-    extend((), [])
-    return found
+    extend((), [], _fraction_feasible([], n))
+    return found, checked
 
 
 def _moment_curve(count, n):
@@ -512,9 +533,18 @@ def test_chamber_witnesses_match_the_fraction_oracle(family):
     ]
     for name, pair in pairs:
         classes = _axial_classes(pair)
-        expected = [(signs, Vector(w)) for signs, w in _fraction_chambers(classes, pair.n)]
+        expected = [(signs, Vector(w)) for signs, w in _fraction_chambers(classes, pair.n)[0]]
         assert list(_chamber_search(classes, pair.n)) == expected, name
         assert _chambers(classes, pair.n) == (expected, "exhaustive"), name
+        # the printed direction: the first acyclic chamber's witness of its whole system
+        acyclic = [signs for signs, w in expected if is_acyclic(orient(pair, w))[0]]
+        if acyclic:
+            signs = acyclic[0]
+            rows = [tuple(Fraction(s * c) for c in cls.canonical) for s, cls in zip(signs, classes)]
+            assert find_acyclic_xi(pair) == Vector(_fraction_feasible(rows, pair.n)), name
+        else:
+            with pytest.raises(ValueError):
+                find_acyclic_xi(pair)
 
 
 @st.composite
@@ -644,28 +674,6 @@ def test_chamber_leaf_rechecks_its_witness(monkeypatch, cp2):
         list(_chamber_search(_axial_classes(cp2), cp2.n))
 
 
-def _fraction_reuse_prefixes(classes, n):
-    """The prefixes the chamber search checks, with its reuse test made on Fraction witnesses."""
-    checked = []
-
-    def extend(depth, rows, witness):
-        if depth == len(classes):
-            return
-        for row in (tuple(-c for c in classes[depth].canonical), classes[depth].canonical):
-            grown = rows + [row]
-            if depth + 1 < len(classes) and sum(c * x for c, x in zip(row, witness)) > 0:
-                extend(depth + 1, grown, witness)
-                continue
-            checked.append(grown)
-            w = _fraction_feasible([tuple(map(Fraction, r)) for r in grown], n)
-            if w is not None:
-                extend(depth + 1, grown, w)
-
-    checked.append([])
-    extend(0, [], _fraction_feasible([], n))
-    return checked
-
-
 def test_chamber_search_checks_the_same_prefixes(monkeypatch, family):
     from gkmcalc import morse_betti
 
@@ -683,7 +691,7 @@ def test_chamber_search_checks_the_same_prefixes(monkeypatch, family):
         list(_chamber_search(classes, pair.n))
         # the elimination recurses through the module global with fewer coordinates
         checked = [rows for n, rows in calls if n == pair.n]
-        assert checked == _fraction_reuse_prefixes(classes, pair.n), name
+        assert checked == _fraction_chambers(classes, pair.n)[1], name
 
 
 # --- orientation signs against Fraction pairings --------------------------------
@@ -975,8 +983,53 @@ def test_betti_with_xi_orients_once(cp2, tmp_path, monkeypatch):
     graph.write_text(json.dumps(cp2.to_json()))
     calls = _count_orientations(monkeypatch, morse_betti, cli)
     assert cli.main(["betti", str(graph), "--xi", "3,7", "--out", str(tmp_path / "b.json")]) == 0
-    # the chamber check orients each chamber's witness; the report's own xi once
-    assert [list(xi) for xi in calls].count([3, 7]) == 1
+    # the chamber check counts its witnesses on integer stars; only the report's own xi is oriented
+    assert [list(xi) for xi in calls] == [[3, 7]]
+
+
+def _one_chamber(monkeypatch, chamber):
+    monkeypatch.setattr(morse_betti, "_chambers", lambda classes, n: ([chamber], "exhaustive"))
+
+
+def _k4_with_a_directed_triangle():
+    # along (1, 0) vertex 1 is a source and 2 -> 3 -> 4 -> 2 a cycle: histogram [1, 0, 3, 0]
+    return GkmPair(
+        2,
+        ["1", "2", "3", "4"],
+        [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("3", "4"), ("4", "2")],
+        {
+            ("1", "2"): (1, 0),
+            ("1", "3"): (1, 1),
+            ("1", "4"): (1, -1),
+            ("2", "3"): (1, 2),
+            ("3", "4"): (1, -2),
+            ("4", "2"): (1, 3),
+        },
+    )
+
+
+def test_the_integer_star_histogram_is_betti_at_the_witness(family, gr24, gr25, k5n3, monkeypatch):
+    extra = [("gr24", gr24), ("gr25", gr25), ("K5 n=3", k5n3), ("K4", _k4_with_a_directed_triangle())]
+    lopsided = set()
+    for name, pair in family + extra:
+        chambers, _ = _chambers(_axial_classes(pair), pair.n)
+        for chamber in chambers:
+            expected = betti(pair, chamber[1])
+            if expected != expected[::-1]:
+                lopsided.add(name)
+            with monkeypatch.context() as m:
+                _one_chamber(m, chamber)
+                assert betti_invariance_check(pair)["betti"] == expected, name
+    # a histogram that is not its own reverse tells in-degrees from out-degrees
+    assert "K4" in lopsided
+
+
+def test_the_integer_star_histogram_refuses_a_witness_on_a_wall(cp2, monkeypatch):
+    signs, _ = _chambers(_axial_classes(cp2), cp2.n)[0][0]
+    a, b = cp2.axial_at("1", "2")
+    _one_chamber(monkeypatch, (signs, Vector((b, -a))))
+    with pytest.raises(ValueError, match=r"^xi lies on a wall: alpha\[.*\]\(xi\) = 0$"):
+        betti_invariance_check(cp2)
 
 
 def test_an_orientation_stands_in_for_its_direction(family, gr24, gr25):
